@@ -1,13 +1,11 @@
 """Selection strategies over a candidate embedding set.
 
-Five strategies share one result shape:
+Four strategies share one result shape:
 
 - sift_select: exact greedy minimization of the query's conditional
   variance; each step picks argmax k²(q,x)/(k(x,x)+λ′) under the current
-  conditional kernel and then conditions on the pick.
-- sift_fast_select: the same selection computed lazily with a max-heap of
-  stale upper bounds and a cached regularized inverse, so only a handful of
-  candidates are rescored per step.
+  conditional kernel and then conditions on the pick. sift_fast_select is
+  the same selector under its older public name.
 - nn_select: plain top-scoring retrieval (and its degenerate failure mode
   that returns the single closest row repeatedly).
 - uncertainty_sampling_select: picks whichever candidate's own conditional
@@ -15,35 +13,31 @@ Five strategies share one result shape:
 - preselect_candidates: top-k inner-product prefilter applied before any of
   the above.
 
-Repeated selection of the same row is always permitted for the variance
-based strategies — observing a row twice is informative under noise — while
-nearest-neighbor distinct mode excludes prior picks. Ties are broken by the
-smallest row index everywhere, which keeps every strategy deterministic.
+All three selectors run one greedy conditioning kernel and differ only in
+the rule that names the next row, so their sigma traces are computed the
+same way. Repeated selection of the same row is always permitted for the
+variance based strategies — observing a row twice is informative under
+noise — while nearest-neighbor distinct mode excludes prior picks. Ties are
+broken by the smallest row index everywhere, which keeps every strategy
+deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpstrf
 
-from .core import (
-    NEGATIVE_VARIANCE_TOL,
-    EmbeddingSet,
-    KernelConfig,
-    as_query,
-    conditional_downdate,
-    posterior_variance,
-    spd_solve,
-)
+from .core import NEGATIVE_VARIANCE_TOL, EmbeddingSet, KernelConfig, as_query
 from .errors import InvalidParameter, NotEnoughCandidates, NumericalFailure
 
-# Above this many candidates the exact selector switches to the
-# column-cache representation instead of the full conditional matrix: the
-# measured speed crossover (full-matrix downdates touch O(K²) entries per
-# step, the column cache O(K·i)), and the memory bound long before K² blows up.
-_FULL_MATRIX_MAX_ROWS = 96
+# The greedy kernel folds its rank-one updates into A this many at a time,
+# with one matrix product: at r = 200 an r×r elementwise update on every
+# step cost more than all the rest of the step.
+_FOLD_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -71,24 +65,6 @@ class SelectionResult:
             raise ValueError("objective_trace must have exactly len(order) entries")
 
 
-@dataclass
-class FastState:
-    """Mutable state of the lazy-greedy fast path (exposed for inspection).
-
-    heap entries are (-bound, row, stamp); a bound is valid as an upper
-    bound on the row's current marginal objective as long as marginal gains
-    are diminishing. inv_cache is the regularized inverse
-    (K_selected + λ′I)⁻¹ over the selection multiset; cond_kernel is the
-    conditional kernel over [query] + the distinct selected rows.
-    """
-
-    heap: list[tuple[float, int, int]]
-    inv_cache: np.ndarray
-    cond_kernel: np.ndarray
-    selected: list[int] = field(default_factory=list)
-    tracked: list[int] = field(default_factory=list)
-
-
 def _validate_inputs(candidates: EmbeddingSet, q, n_select: int) -> np.ndarray:
     if candidates.rows == 0:
         raise NotEnoughCandidates("candidate set is empty")
@@ -103,76 +79,85 @@ def _clamp_sigma(value: float) -> float:
     return max(value, 0.0)
 
 
-def _greedy_conditional(
-    X: np.ndarray,
-    qv: np.ndarray,
-    n_select: int,
-    lam: float,
-    by_query: bool,
-    column_cache: bool,
-) -> tuple[list[int], list[float], list[float]]:
-    """Shared greedy loop for the exact variance minimizer and uncertainty
-    sampling.
+def _candidate_factor(X: np.ndarray) -> np.ndarray:
+    """A K×r matrix Z with ZZᵀ = XXᵀ and r ≤ min(K, d).
 
-    by_query=True scores candidates by k²(q,x)/(k(x,x)+λ′), False by their
-    own conditional variance k(x,x). Full mode keeps the complete
-    (K+1)×(K+1) conditional kernel; column mode keeps only k(q,·), the
-    diagonal, and one cached conditional column per selection (O(K·N)
-    memory), reconstructing pivot columns from the originals on demand.
+    With at least as many rows as dimensions the rows serve as they are.
+    Otherwise a pivoted Cholesky of the K×K Gram keeps r ≤ K, so the greedy
+    state stays K×K when d is large (a small pool of wide embeddings).
+    Columns past LAPACK's numerical rank (tolerance K·ε·max‖x‖²) are
+    dropped; that moves inner products by no more than forming the Gram does.
+    The Gram comes from SciPy's BLAS, like the factorization: NumPy links its
+    own OpenBLAS, whose threads still spin after a NumPy product and made the
+    factorization 15× slower on two cores (200×1024 rows).
     """
-    K = X.shape[0]
+    K, d = X.shape
+    if K >= d:
+        return X
+    c, piv, rank, _ = dpstrf(dsyrk(1.0, X.T, trans=1), overwrite_a=1)
+    Z = np.empty((K, rank))
+    Z[piv - 1] = np.triu(c[:rank]).T
+    return Z
+
+
+def _greedy_kernel(
+    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick
+) -> tuple[list[int], list[float], list[float]]:
+    """The exact greedy conditioning loop behind every selector.
+
+    The conditional kernel among candidates is z_iᵀ A z_j, for the rows z_i
+    of a factor Z of XXᵀ (see _candidate_factor) and an r×r matrix A that
+    starts at I. k(q,·) and k(·,·) are tracked as K-vectors from the raw rows
+    and query, so q is never expressed in Z's coordinates. Observing row p
+    with noise λ′ maps every entry to
+    k′(x,y) = k(x,y) − k(x,p)·k(p,y)/(k(p,p)+λ′); with w = A z_p/√(k(p,p)+λ′)
+    the column k(·,p)/√(k(p,p)+λ′) is Z w and A becomes A − wwᵀ. A step costs
+    one GEMV against Z plus O(r²), and the state is O(K + r²) whatever the
+    number of picks — the incremental-conditioning trick of Chen, Zhang &
+    Zhou 2018 ("Fast Greedy MAP Inference for DPPs", arXiv 1709.05135) in
+    feature space. The last few w are kept as rows of W until they are
+    folded into A, so the current matrix is A − WᵀW.
+
+    pick(step, kq, diag) returns the next row of X and the objective value
+    recorded for it, given the current conditional k(q,·) and k(·,·).
+    Returns the order, objective trace and sigma trace.
+    """
+    Z = _candidate_factor(X)
+    A = np.eye(Z.shape[1])
+    W = np.empty((_FOLD_EVERY, Z.shape[1]))
+    m = 0
+    kq = X @ qv
+    diag = np.einsum("ij,ij->i", X, X)
     sigma = _clamp_sigma(float(qv @ qv))
     sigma_trace = [sigma]
     order: list[int] = []
     objective_trace: list[float] = []
-
-    if not column_cache:
-        M = np.empty((K + 1, K + 1))
-        M[0, 0] = qv @ qv
-        M[0, 1:] = X @ qv
-        M[1:, 0] = M[0, 1:]
-        M[1:, 1:] = X @ X.T
-        for _ in range(n_select):
-            kq = M[0, 1:]
-            diag = np.diagonal(M)[1:]
-            scores = kq * kq / (diag + lam) if by_query else diag
-            best = int(np.argmax(scores))
-            den = float(diag[best]) + lam
-            decrement = float(kq[best]) ** 2 / den
-            objective_trace.append(float(scores[best]))
-            M = conditional_downdate(M, best + 1, lam)
-            sigma = _clamp_sigma(sigma - decrement)
-            order.append(best)
-            sigma_trace.append(sigma)
-    else:
-        kq = X @ qv
-        diag = np.einsum("ij,ij->i", X, X).astype(np.float64)
-        cols: list[np.ndarray] = []
-        dens: list[float] = []
-        for _ in range(n_select):
-            scores = kq * kq / (diag + lam) if by_query else diag
-            best = int(np.argmax(scores))
-            # conditional column of the pivot over [q] + all candidates,
-            # rebuilt from the raw kernel minus prior pivot corrections
-            col = np.concatenate(([qv @ X[best]], X @ X[best]))
-            for c, dn in zip(cols, dens):
-                col -= c * (c[best + 1] / dn)
-            den = float(col[best + 1]) + lam
-            decrement = float(kq[best]) ** 2 / den
-            objective_trace.append(float(scores[best]))
-            kq = kq - col[1:] * (col[0] / den)
-            diag = diag - col[1:] * (col[1:] / den)
-            bad = float(diag.min())
-            if bad < -NEGATIVE_VARIANCE_TOL:
-                raise NumericalFailure(
-                    f"conditional diagonal went negative beyond round-off: {bad!r}"
-                )
-            np.maximum(diag, 0.0, out=diag)
-            cols.append(col)
-            dens.append(den)
-            sigma = _clamp_sigma(sigma - decrement)
-            order.append(best)
-            sigma_trace.append(sigma)
+    for step in range(n_select):
+        best, objective = pick(step, kq, diag)
+        den = float(diag[best]) + lam
+        root = math.sqrt(den)
+        kq_best = float(kq[best])
+        z = Z[best]
+        w = A @ z - W[:m].T @ (W[:m] @ z)
+        w /= root
+        col = Z @ w
+        kq -= col * (kq_best / root)
+        diag -= col * col
+        bad = float(diag.min())
+        if bad < -NEGATIVE_VARIANCE_TOL:
+            raise NumericalFailure(
+                f"conditional diagonal went negative beyond round-off: {bad!r}"
+            )
+        np.maximum(diag, 0.0, out=diag)
+        W[m] = w
+        m += 1
+        if m == _FOLD_EVERY:
+            A -= W.T @ W
+            m = 0
+        sigma = _clamp_sigma(sigma - kq_best * kq_best / den)
+        order.append(best)
+        objective_trace.append(objective)
+        sigma_trace.append(sigma)
     return order, objective_trace, sigma_trace
 
 
@@ -181,8 +166,6 @@ def sift_select(
     q,
     n_select: int,
     cfg: KernelConfig,
-    *,
-    column_cache: bool | None = None,
 ) -> SelectionResult:
     """Exact greedy variance minimization for the query.
 
@@ -190,26 +173,42 @@ def sift_select(
     reduction k²(q,x)/(k(x,x)+λ′) under the current conditional kernel; the
     argmax (smallest index on ties) is selected and the kernel is
     conditioned on it. sigma_trace obeys
-    sigma_trace[i+1] = sigma_trace[i] − objective_trace[i].
-
-    column_cache=None picks the representation automatically (full matrix up
-    to 96 candidates, column cache beyond); both representations agree to
-    ~1e-8 and the flag only trades memory and per-step cost for locality.
+    sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]. A step costs one
+    pass over the candidates (a K×min(K, d) matrix-vector product) plus
+    O(min(K, d)²).
     """
     qv = _validate_inputs(candidates, q, n_select)
-    if column_cache is None:
-        column_cache = candidates.rows > _FULL_MATRIX_MAX_ROWS
-    order, objective_trace, sigma_trace = _greedy_conditional(
-        candidates.data, qv, n_select, cfg.lambda_prime, by_query=True,
-        column_cache=column_cache,
-    )
+    lam = cfg.lambda_prime
+
+    def pick(step, kq, diag):
+        scores = kq * kq / (diag + lam)
+        best = int(np.argmax(scores))
+        return best, float(scores[best])
+
+    order, objective_trace, sigma_trace = _greedy_kernel(
+        candidates.data, qv, n_select, lam, pick)
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),
         sigma_trace=tuple(sigma_trace),
         method="sift",
-        lambda_prime=cfg.lambda_prime,
+        lambda_prime=lam,
     )
+
+
+def sift_fast_select(
+    candidates: EmbeddingSet,
+    q,
+    n_select: int,
+    cfg: KernelConfig,
+) -> SelectionResult:
+    """sift_select under the name of the retired lazy-greedy path.
+
+    The heap of stale bounds it replaced was slower than the exact kernel,
+    and not the greedy argmax where gains do not diminish. This returns
+    sift_select's picks and traces, labelled "sift-fast".
+    """
+    return replace(sift_select(candidates, q, n_select, cfg), method="sift-fast")
 
 
 def uncertainty_sampling_select(
@@ -226,10 +225,13 @@ def uncertainty_sampling_select(
     for comparison with the query-aware strategies.
     """
     qv = _validate_inputs(candidates, q, n_select)
-    order, objective_trace, sigma_trace = _greedy_conditional(
-        candidates.data, qv, n_select, cfg.lambda_prime, by_query=False,
-        column_cache=candidates.rows > _FULL_MATRIX_MAX_ROWS,
-    )
+
+    def pick(step, kq, diag):
+        best = int(np.argmax(diag))
+        return best, float(diag[best])
+
+    order, objective_trace, sigma_trace = _greedy_kernel(
+        candidates.data, qv, n_select, cfg.lambda_prime, pick)
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),
@@ -267,13 +269,19 @@ def nn_select(
             )
         ranked = np.argsort(-scores, kind="stable")
         order = [int(i) for i in ranked[:n_select]]
-    sigma_trace = [
-        posterior_variance(candidates.data[order[:i]], qv, cfg)
-        for i in range(n_select + 1)
-    ]
+
+    # σ² depends on the picked rows alone, so only they are conditioned on
+    rows = list(dict.fromkeys(order))
+    slot = {row: i for i, row in enumerate(rows)}
+
+    def pick(step, kq, diag):
+        return slot[order[step]], float(scores[order[step]])
+
+    _, objective_trace, sigma_trace = _greedy_kernel(
+        candidates.data[rows], qv, n_select, cfg.lambda_prime, pick)
     return SelectionResult(
         order=tuple(order),
-        objective_trace=tuple(float(scores[i]) for i in order),
+        objective_trace=tuple(objective_trace),
         sigma_trace=tuple(sigma_trace),
         method="nn-f" if failure_mode else "nn",
         lambda_prime=cfg.lambda_prime,
@@ -295,8 +303,14 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         raise NotEnoughCandidates(
             f"preselection of {k_pre} rows from a space of {space.rows}"
         )
-    scores = space.data @ qv
-    keep = np.argsort(-scores, kind="stable")[:k_pre]
+    neg = -(space.data @ qv)
+    kth = np.partition(neg, k_pre - 1)[k_pre - 1]
+    # Every row tied with the k-th score is kept before the stable sort, so
+    # ties resolve to the smallest index as a full stable argsort would.
+    # "not greater" rather than "at most" keeps NaN scores (from overflowing
+    # products), which both sorts place last.
+    head = np.flatnonzero(~(neg > kth))
+    keep = head[np.argsort(neg[head], kind="stable")[:k_pre]]
     prior = space.source_rows or tuple(range(space.rows))
     return EmbeddingSet(
         data=space.data[keep],
@@ -304,159 +318,3 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         normalized=space.normalized,
         source_rows=tuple(prior[i] for i in keep),
     )
-
-
-# --------------------------------------------------------------------------
-# Lazy-greedy fast path
-# --------------------------------------------------------------------------
-
-
-def _inverse_spd(mat: np.ndarray, jitter: float) -> np.ndarray:
-    return spd_solve(mat, np.eye(mat.shape[0]), jitter)
-
-
-def _expand_inverse(
-    inv: np.ndarray, sel_matrix: np.ndarray, lam: float, jitter: float
-) -> np.ndarray:
-    """Grow (K_sel + λ′I)⁻¹ to cover rows appended to the selection.
-
-    Block inversion: with the old inverse Λ over the first i rows and j new
-    rows F, the Schur complement S = (FFᵀ + λ′I) − AᵀΛA (A = old·Fᵀ) is
-    inverted directly and the four blocks are assembled. The regularizer
-    sits on the new diagonal block, keeping the expansion consistent with
-    the regularized Gram even when rows repeat.
-    """
-    i = inv.shape[0]
-    n = sel_matrix.shape[0]
-    if i == n:
-        return inv
-    F = sel_matrix[i:]
-    B = F @ F.T + lam * np.eye(n - i)
-    if i == 0:
-        return _inverse_spd(B, jitter)
-    A = sel_matrix[:i] @ F.T
-    LA = inv @ A
-    C = _inverse_spd(B - A.T @ LA, jitter)
-    out = np.empty((n, n))
-    out[:i, :i] = inv + LA @ C @ LA.T
-    out[:i, i:] = -LA @ C
-    out[i:, :i] = out[:i, i:].T
-    out[i:, i:] = C
-    return out
-
-
-def sift_fast_select(
-    candidates: EmbeddingSet,
-    q,
-    n_select: int,
-    cfg: KernelConfig,
-    *,
-    capture_state: bool = False,
-) -> SelectionResult | tuple[SelectionResult, FastState]:
-    """Lazy-greedy variance minimization with stale upper bounds.
-
-    The heap is initialized with α_x = (qᵀφ(x))²/(‖φ(x)‖²+λ′) — exactly the
-    nearest-neighbor scoring pass. Each iteration pops entries, rescores
-    stale ones against the current conditional state, and selects a row the
-    moment the heap's top bound was recomputed in the current iteration:
-    with diminishing marginal gains, stale bounds only overestimate, so a
-    fresh top is the true argmax. Rescoring a row never seen before extends
-    the tracked conditional kernel with that row's conditional column,
-    computed through the cached regularized inverse of the selected Gram;
-    rows already selected are read straight from the tracked kernel.
-
-    On inputs with diminishing gains the output (order and traces) matches
-    sift_select to ~1e-8. With capture_state=True the internal FastState is
-    returned alongside the result for invariant checks.
-    """
-    qv = _validate_inputs(candidates, q, n_select)
-    X = candidates.data
-    lam = cfg.lambda_prime
-    jitter = cfg.jitter
-    K = candidates.rows
-
-    dots = X @ qv
-    sq_norms = np.einsum("ij,ij->i", X, X)
-    alpha0 = dots * dots / (sq_norms + lam)
-    heap: list[tuple[float, int, int]] = [(-float(alpha0[i]), i, -1) for i in range(K)]
-    heapq.heapify(heap)
-
-    state = FastState(
-        heap=heap,
-        inv_cache=np.empty((0, 0)),
-        cond_kernel=np.array([[float(qv @ qv)]]),
-        selected=[],
-        tracked=[],
-    )
-    pos: dict[int, int] = {}
-    point_matrix = qv[None, :]  # rows of the tracked conditional kernel
-    sel_matrix = np.empty((0, X.shape[1]))
-
-    sigma = _clamp_sigma(float(qv @ qv))
-    sigma_trace = [sigma]
-    order: list[int] = []
-    objective_trace: list[float] = []
-
-    for it in range(n_select):
-        pending: dict[int, tuple[np.ndarray, float]] = {}
-        while True:
-            neg_bound, r, stamp = heapq.heappop(heap)
-            if stamp == it:
-                alpha = -neg_bound
-                break
-            if r in pos:
-                p = pos[r]
-                kqx = float(state.cond_kernel[0, p])
-                kxx = float(state.cond_kernel[p, p])
-            else:
-                if state.inv_cache.shape[0] != len(state.selected):
-                    state.inv_cache = _expand_inverse(
-                        state.inv_cache, sel_matrix, lam, jitter
-                    )
-                x = X[r]
-                if len(state.selected):
-                    Ax = x - sel_matrix.T @ (state.inv_cache @ (sel_matrix @ x))
-                else:
-                    Ax = x
-                col = point_matrix @ Ax
-                kxx = float(x @ Ax)
-                kqx = float(col[0])
-                pending[r] = (col, kxx)
-            alpha = kqx * kqx / (max(kxx, 0.0) + lam)
-            heapq.heappush(heap, (-alpha, r, it))
-
-        if r not in pos:
-            col, kxx = pending[r]
-            P = state.cond_kernel.shape[0]
-            grown = np.empty((P + 1, P + 1))
-            grown[:P, :P] = state.cond_kernel
-            grown[:P, P] = col
-            grown[P, :P] = col
-            grown[P, P] = max(kxx, 0.0)
-            state.cond_kernel = grown
-            pos[r] = P
-            state.tracked.append(r)
-            point_matrix = np.vstack([point_matrix, X[r]])
-        state.cond_kernel = conditional_downdate(state.cond_kernel, pos[r], lam)
-        state.selected.append(r)
-        sel_matrix = np.vstack([sel_matrix, X[r]])
-        sigma = _clamp_sigma(sigma - alpha)
-        order.append(r)
-        objective_trace.append(alpha)
-        sigma_trace.append(sigma)
-        # the selection-time value stays a valid upper bound next iteration
-        heapq.heappush(heap, (-alpha, r, it))
-
-    result = SelectionResult(
-        order=tuple(order),
-        objective_trace=tuple(objective_trace),
-        sigma_trace=tuple(sigma_trace),
-        method="sift-fast",
-        lambda_prime=lam,
-    )
-    if capture_state:
-        # bring the lazily expanded inverse fully up to date so the returned
-        # state is self-consistent for invariant checks
-        state.inv_cache = _expand_inverse(state.inv_cache, sel_matrix, lam, jitter)
-        return result, state
-    return result

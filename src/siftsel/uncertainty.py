@@ -2,11 +2,11 @@
 
 Quantities that interpret or bound what a selection achieved: the total
 uncertainty reduction ψ and per-candidate marginal gain Δ, an empirical
-probe for diminishing marginal gains (the property licensing the lazy-greedy
-fast path and the (1−1/e) guarantee), the irreducible uncertainty floor η²,
-an evaluable convergence-bound right-hand side, confidence-width multipliers
-β_n for classification and regression surrogates, the information-gain view
-of the selection objective with its relevance/redundancy split, and the
+probe for diminishing marginal gains (the property behind greedy's (1−1/e)
+guarantee), the irreducible uncertainty floor η², an evaluable
+convergence-bound right-hand side, confidence-width multipliers β_n for
+classification and regression surrogates, the information-gain view of the
+selection objective with its relevance/redundancy split, and the
 compute-proportional adaptive stopping rule.
 
 Natural logarithms throughout.
@@ -27,6 +27,9 @@ from .selectors import SelectionResult
 # Relative singular-value cutoff separating true orthogonal components from
 # round-off when computing spans.
 _RANK_CUTOFF = 1e-10
+
+# Margin, in units of the Gram's round-off, above which η² skips the SVD.
+_SPAN_CERTIFICATE = 10.0
 
 _PROBE_TOL = 1e-9
 _MAX_PROBE_CHAIN = 6
@@ -128,8 +131,8 @@ def submodularity_probe(
     Samples random nested multisets X′ ⊆ X of candidate rows and a random
     extra row x, and verifies Δ(x|X′) ≥ Δ(x|X) − 1e-9. Reports the minimum
     slack observed. Diminishing gains are an assumption about the data, not
-    a theorem — hence a probe, not a proof; the lazy-greedy selector's
-    equivalence to the exact one is only guaranteed on inputs that pass.
+    a theorem — hence a probe, not a proof; greedy selection's (1−1/e)
+    near-optimality is only guaranteed on inputs that pass.
     """
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
@@ -163,11 +166,25 @@ def irreducible_uncertainty(space: EmbeddingSet, q) -> float:
     of the data rows — the variance floor no amount of selection can beat.
 
     Rank is determined by a singular-value cutoff of 1e-10 relative to the
-    largest singular value.
+    largest singular value. With at least as many rows as dimensions, a
+    d×d Gram eigenvalue check first certifies full rank, in which case the
+    floor is 0 and the K×d SVD is skipped.
     """
     qv = as_query(q, space.dim)
     if space.rows == 0:
         raise InvalidParameter("space must be non-empty")
+    K, d = space.data.shape
+    if K >= d:
+        e = np.linalg.eigvalsh(space.data.T @ space.data)
+        # Forming XᵀX and its eigenvalues moves each one by at most about
+        # K·d·ε·e[-1]; ten times that is a margin above the round-off. Past
+        # it XᵀX is certainly positive definite: σ_min/σ_max exceeds
+        # √(10·K·d·ε) ≥ 4.7e-8, far above the 1e-10 rank cutoff, so the rows
+        # span ℝ^d and nothing of q lies outside their span. Rank-deficient
+        # or nearly deficient rows fall through to the SVD, the only
+        # correct path for them.
+        if e[0] > _SPAN_CERTIFICATE * K * d * np.finfo(np.float64).eps * e[-1]:
+            return 0.0
     s, vt = np.linalg.svd(space.data, full_matrices=False)[1:]
     rank = int(np.sum(s > _RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
     if rank == 0:

@@ -4,7 +4,8 @@ Thirteen end-to-end checks, one test per criterion so the verbose run shows
 one pass/fail line each:
 
  1. exact greedy selector ≡ brute-force oracle (100 seeded instances, ≤1e-8)
- 2. lazy-greedy ≡ exact greedy on every probe-passing instance (≥50 passing)
+ 2. sift_fast_select ≡ exact greedy on every probe-passing instance (≥50
+    passing); the name is kept as an alias of the exact kernel
  3. nearest-neighbor insufficiency instance: retrieval stalls at σ² = 0.2,
     variance minimization reaches σ₄² ≤ 0.01, closed form λ′/(m+λ′) per axis
  4. relevance–diversity threshold: the second pick flips exactly at the
@@ -20,7 +21,7 @@ one pass/fail line each:
     scalar recomputation on a 5×5 grid and are monotone in n and δ
 12. file formats round-trip at 32-bit precision; corrupt fixtures raise
     BadMagic / TruncatedPayload / RaggedRow
-13. performance report (soft): lazy selection at K=100k and the preselected
+13. performance report (soft): sift_fast_select at K=100k and the preselected
     pipeline vs plain retrieval at K=10k — measured and printed, not gated
 """
 
@@ -441,7 +442,7 @@ def test_criterion_13_performance_report(capsys):
     ratio = pipeline_time / nn_time
     with capsys.disabled():
         print(
-            f"\n[perf report] lazy greedy, N=50 of K=100000, d=128: "
+            f"\n[perf report] sift_fast_select, N=50 of K=100000, d=128: "
             f"{fast_time:.2f} s (target ≤ 5 s, informational)\n"
             f"[perf report] preselect-200 pipeline vs retrieval, K=10000: "
             f"{pipeline_time * 1e3:.1f} ms vs {nn_time * 1e3:.1f} ms "

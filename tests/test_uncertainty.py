@@ -142,6 +142,24 @@ class TestIrreducibleUncertainty:
         with pytest.raises(InvalidParameter):
             irreducible_uncertainty(EmbeddingSet(data=np.empty((0, 2))), [1.0, 0.0])
 
+    def test_full_rank_rows_certify_a_zero_floor(self):
+        rng = np.random.default_rng(51)
+        space = EmbeddingSet(data=unit_rows(rng, 50, 8), normalized=True)
+        assert irreducible_uncertainty(space, unit_vector(rng, 8)) == 0.0
+
+    def test_rows_in_a_subspace_take_the_svd_path(self):
+        """K=50 ≥ d=8 rows confined to a 3-dim subspace fail the Gram
+        certificate; the SVD finds the floor ‖q‖² − ‖Bq‖² for the
+        subspace's orthonormal basis B."""
+        rng = np.random.default_rng(52)
+        basis = np.linalg.qr(rng.normal(size=(8, 3)))[0].T
+        space = EmbeddingSet(data=rng.normal(size=(50, 3)) @ basis)
+        q = unit_vector(rng, 8)
+        expected = 1.0 - float(np.sum((basis @ q) ** 2))
+        assert expected > 0.1
+        np.testing.assert_allclose(
+            irreducible_uncertainty(space, q), expected, rtol=0, atol=1e-12)
+
 
 class TestDataSpaceLambdaMin:
     def test_orthonormal_basis_gives_one(self):
