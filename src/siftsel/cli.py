@@ -19,8 +19,8 @@ import time
 
 import numpy as np
 
-from .core import EmbeddingSet, KernelConfig, normalize_rows
-from .errors import InputError, NumericalFailure, SiftselError
+from .core import EmbeddingSet, KernelConfig, as_query, normalize_rows
+from .errors import InputError, NumericalFailure, SiftselError, check_param
 from .io import read_embeddings, write_selection
 from .selectors import (
     nn_select,
@@ -124,11 +124,7 @@ def _load_pair(args) -> tuple[EmbeddingSet, np.ndarray]:
         raise InputError(
             f"--query-row {args.query_row} out of range for {queries.rows} query rows"
         )
-    q = np.array(queries.data[args.query_row], dtype=np.float64)
-    if space.dim != q.shape[0]:
-        raise InputError(
-            f"candidate dimension {space.dim} != query dimension {q.shape[0]}"
-        )
+    q = as_query(queries.data[args.query_row], space.dim)
     if args.normalize:
         space = normalize_rows(space)
         qn = float(np.linalg.norm(q))
@@ -139,9 +135,9 @@ def _load_pair(args) -> tuple[EmbeddingSet, np.ndarray]:
 
 
 def _pool(space: EmbeddingSet, q: np.ndarray, preselect_k: int) -> EmbeddingSet:
-    if preselect_k and 0 < preselect_k < space.rows:
-        return preselect_candidates(space, q, preselect_k)
-    return space
+    if preselect_k == 0 or preselect_k >= space.rows:
+        return space
+    return preselect_candidates(space, q, preselect_k)
 
 
 def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelConfig):
@@ -160,14 +156,14 @@ def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelCo
 
 def _cmd_select(args) -> int:
     space, q = _load_pair(args)
-    cfg = KernelConfig(lambda_prime=args.lambda_prime,
-                       normalize_inputs=args.normalize)
+    cfg = KernelConfig(lambda_prime=args.lambda_prime)
+    policy = None if args.alpha is None else StoppingPolicy(
+        alpha=args.alpha,
+        n_max=args.n_select if args.n_max is None else args.n_max)
     t0 = time.perf_counter()
     pool = _pool(space, q, args.preselect_k)
     result = _run_method(args.method, pool, q, args.n_select, cfg)
-    if args.alpha is not None:
-        policy = StoppingPolicy(alpha=args.alpha,
-                                n_max=args.n_max or args.n_select)
+    if policy is not None:
         result = apply_adaptive_stopping(result, policy)
     elapsed = time.perf_counter() - t0
 
@@ -189,8 +185,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_stats(args) -> int:
     space, q = _load_pair(args)
-    cfg = KernelConfig(lambda_prime=args.lambda_prime,
-                       normalize_inputs=args.normalize)
+    cfg = KernelConfig(lambda_prime=args.lambda_prime)
     probe = submodularity_probe(space, q, cfg, trials=args.trials, seed=args.seed)
     out = {
         "rows": space.rows,
@@ -237,11 +232,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     space, q = _load_pair(args)
-    cfg = KernelConfig(lambda_prime=args.lambda_prime,
-                       normalize_inputs=args.normalize)
+    cfg = KernelConfig(lambda_prime=args.lambda_prime)
+    check_param("--repeat", args.repeat, ge=1, integer=True)
     methods = args.methods or ["sift", "sift-fast", "nn"]
-    if args.repeat < 1:
-        raise InputError("--repeat must be at least 1")
     times: dict[str, float] = {}
     stable = True
     for method in methods:
@@ -281,10 +274,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"siftsel: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError) as exc:
-        print(f"siftsel: {exc}", file=sys.stderr)
-        return 2
-    except SiftselError as exc:
+    except (SiftselError, OSError) as exc:
         print(f"siftsel: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,9 @@ multiset of observed rows:
 
 where K_X is the Gram matrix of the observed rows and λ′ > 0 plays the role
 of observation noise. This module provides that quantity in both its kernel
-form and its equivalent feature-space form, the rank-one conditional-kernel
-downdate used by the incremental selectors, row normalization, and total
+form and its equivalent feature-space form, row normalization, and total
 variation distance. All arithmetic is 64-bit regardless of on-disk storage.
+EmbeddingSet is the one place embedding rows are checked.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
+    NonFiniteValue,
     NotAProbabilityVector,
     NumericalFailure,
     ZeroNormRow,
+    check_param,
 )
 
 # Negative variances within this band are round-off and clamped to zero;
@@ -34,6 +37,14 @@ NEGATIVE_VARIANCE_TOL = 1e-9
 _ZERO_NORM_CUTOFF = 1e-12
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """Raise NonFiniteValue at the first NaN or infinity of a 2-D array;
+    the position is looked up only after one pass has found one."""
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise NonFiniteValue(int(r), int(c))
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """An immutable id-tagged matrix of row embeddings.
@@ -41,6 +52,7 @@ class EmbeddingSet:
     data is (n, d) float64, one embedding per row. ids, when present, has
     exactly n entries. source_rows records the original row index of each
     row when the set is a subset of a larger space (None means identity).
+    The set keeps a read-only view of data; the caller's array stays as is.
     """
 
     data: np.ndarray
@@ -49,11 +61,12 @@ class EmbeddingSet:
     source_rows: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if data.ndim != 2:
-            raise DimensionMismatch(f"embedding data must be 2-D, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("embedding data contains non-finite values")
+        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64)).view()
+        if data.ndim != 2 or data.shape[1] == 0:
+            raise DimensionMismatch(
+                f"embedding data must be 2-D with at least one column, got shape {data.shape}"
+            )
+        _check_finite(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         if self.ids is not None:
@@ -73,7 +86,7 @@ class EmbeddingSet:
         if self.normalized and data.shape[0] > 0:
             norms = np.linalg.norm(data, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("normalized flag set but some row norm deviates from 1")
+                raise InvalidParameter("normalized flag set but some row norm deviates from 1")
 
     @property
     def rows(self) -> int:
@@ -92,44 +105,44 @@ class EmbeddingSet:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Regularizer and numeric policy shared by all kernel computations.
-
-    lambda_prime is the observation-noise regularizer λ′ added to Gram
-    diagonals; jitter is the first diagonal bump tried when a plain SPD
-    solve fails, before escalating further.
-    """
+    """The regularizer shared by all kernel computations: lambda_prime is the
+    observation-noise regularizer λ′ > 0 added to Gram diagonals."""
 
     lambda_prime: float = 0.01
-    jitter: float = 1e-10
-    normalize_inputs: bool = True
 
     def __post_init__(self):
-        if not self.lambda_prime > 0:
-            raise ValueError(f"lambda_prime must be positive, got {self.lambda_prime}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        check_param("lambda_prime", self.lambda_prime, gt=0)
 
 
 def as_query(q, dim: int | None = None) -> np.ndarray:
     """Validate and convert a query embedding to a 1-D float64 vector."""
     vec = np.asarray(q, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("query contains non-finite values")
+    _check_finite(vec[None, :])
     if dim is not None and vec.shape[0] != dim:
         raise DimensionMismatch(f"query has dimension {vec.shape[0]}, expected {dim}")
     return vec
 
 
-def _as_row_matrix(selected, dim: int) -> np.ndarray:
-    """Stack a (possibly empty) sequence of row vectors into an (m, d) matrix."""
-    if isinstance(selected, np.ndarray) and selected.ndim == 2:
-        mat = np.asarray(selected, dtype=np.float64)
+def _as_row_matrix(selected, dim: int | None = None) -> np.ndarray:
+    """Stack an EmbeddingSet, an (m, d) array or a (possibly empty) sequence
+    of row vectors into an (m, d) float64 matrix.
+
+    Rows that do not come from an EmbeddingSet get its finiteness check.
+    With dim given the rows must have that dimension, and an empty
+    sequence becomes (0, dim); without it, (0, 0).
+    """
+    if isinstance(selected, EmbeddingSet):
+        mat = selected.data
     else:
-        rows = [np.asarray(r, dtype=np.float64).reshape(-1) for r in selected]
-        if not rows:
-            return np.empty((0, dim), dtype=np.float64)
-        mat = np.vstack(rows)
-    if mat.shape[1] != dim:
+        if isinstance(selected, np.ndarray) and selected.ndim == 2:
+            mat = np.asarray(selected, dtype=np.float64)
+        else:
+            rows = [np.asarray(r, dtype=np.float64).reshape(-1) for r in selected]
+            if not rows:
+                return np.empty((0, dim or 0), dtype=np.float64)
+            mat = np.vstack(rows)
+        _check_finite(mat)
+    if dim is not None and mat.shape[1] != dim:
         raise DimensionMismatch(
             f"selected rows have dimension {mat.shape[1]}, query has {dim}"
         )
@@ -198,7 +211,7 @@ def posterior_variance(selected, q, cfg: KernelConfig) -> float:
     gram = X @ X.T
     gram[np.diag_indices_from(gram)] += cfg.lambda_prime
     kxq = X @ q
-    sol = spd_solve(gram, kxq, cfg.jitter)
+    sol = spd_solve(gram, kxq)
     return _clamp_variance(kqq - float(kxq @ sol), "posterior variance")
 
 
@@ -213,33 +226,8 @@ def posterior_variance_feature_space(selected, q, cfg: KernelConfig) -> float:
     X = _as_row_matrix(selected, q.shape[0])
     sigma = X.T @ X
     sigma[np.diag_indices_from(sigma)] += cfg.lambda_prime
-    sol = spd_solve(sigma, q, cfg.jitter)
+    sol = spd_solve(sigma, q)
     return _clamp_variance(cfg.lambda_prime * float(q @ sol), "posterior variance")
-
-
-def conditional_downdate(K: np.ndarray, pivot: int, lambda_prime: float) -> np.ndarray:
-    """One conditioning step of the tracked conditional kernel matrix.
-
-    Given the current conditional kernel k(.,.) over a tracked point set and
-    a tracked pivot p just observed, every entry becomes
-
-        k'(x, y) = k(x, y) − k(x, p) · k(p, y) / (k(p, p) + λ′).
-
-    Returns a new symmetric matrix; diagonal round-off negatives are clamped
-    to zero, negatives beyond −1e-9 raise NumericalFailure.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    col = K[:, pivot].copy()
-    denom = K[pivot, pivot] + lambda_prime
-    correction = np.multiply(col[:, None], col[None, :])
-    correction /= denom
-    out = K - correction
-    d = np.diagonal(out).copy()
-    if np.any(d < -NEGATIVE_VARIANCE_TOL):
-        worst = float(d.min())
-        raise NumericalFailure(f"conditional diagonal went negative beyond round-off: {worst!r}")
-    np.fill_diagonal(out, np.maximum(d, 0.0, out=d))
-    return out
 
 
 def tv_distance(s, t) -> float:

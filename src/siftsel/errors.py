@@ -2,18 +2,24 @@
 
 Every error carries enough context (row/column indices, byte counts, file
 paths) for the CLI to print an actionable diagnostic and map the failure to
-an exit code: input problems exit 2, numerical breakdowns exit 3.
+an exit code: input problems exit 2, numerical breakdowns exit 3. Every
+scalar parameter in the package is checked by check_param.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 
 class SiftselError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(SiftselError):
-    """Bad user input: shapes, values, files, parameters. CLI exit code 2."""
+class InputError(SiftselError, ValueError):
+    """Bad user input: shapes, values, files, parameters. CLI exit code 2.
+    A ValueError too, so callers catching the built-in error catch these."""
 
 
 class DimensionMismatch(InputError):
@@ -71,7 +77,7 @@ class TruncatedPayload(EmbeddingIOError):
 
 
 class NonFiniteValue(EmbeddingIOError):
-    """NaN or Inf encountered in an embedding file."""
+    """NaN or Inf in embedding data (a file, an array or a query)."""
 
     def __init__(self, row: int, col: int):
         self.row = row
@@ -85,3 +91,20 @@ class RaggedRow(EmbeddingIOError):
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"row {row} has a different number of values than the first row")
+
+
+_BOUNDS = ((">", operator.gt), (">=", operator.ge), ("<", operator.lt))
+
+
+def check_param(name: str, value, *, gt=None, ge=None, lt=None, integer: bool = False):
+    """Return `value` if it is a finite real number (an integer when
+    `integer`) that is > gt, >= ge and < lt for each bound given; otherwise
+    raise InvalidParameter naming the parameter and the value."""
+    bounds = [(sym, op, b) for (sym, op), b in zip(_BOUNDS, (gt, ge, lt)) if b is not None]
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and (integer or math.isfinite(value))
+            and all(op(value, b) for _, op, b in bounds)):
+        return value
+    what = "an integer" if integer else "a finite number"
+    domain = " and ".join(f"{sym} {b}" for sym, _, b in bounds)
+    raise InvalidParameter(f"{name} must be {what} {domain}".rstrip() + f", got {value!r}")

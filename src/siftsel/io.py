@@ -31,7 +31,6 @@ from .core import EmbeddingSet
 from .errors import (
     BadMagic,
     EmbeddingIOError,
-    NonFiniteValue,
     RaggedRow,
     TruncatedPayload,
 )
@@ -61,13 +60,6 @@ def _read_sidecar_ids(ids_path, n: int) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def _check_finite(data: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
-        raise NonFiniteValue(int(r), int(c))
-
-
 def read_header(path) -> EmbeddingFileHeader:
     """Parse and validate the binary header without reading the payload."""
     with open(path, "rb") as fh:
@@ -95,9 +87,7 @@ def _read_binary(path) -> np.ndarray:
             f"{path} carries {len(payload) - expected} trailing bytes beyond the payload"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(header.count, header.dim)
-    data = data.astype(np.float64)
-    _check_finite(data)
-    return data
+    return data.astype(np.float64)
 
 
 def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -138,7 +128,6 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
         raise EmbeddingIOError(f"{path} contains no data rows")
     # store at 32-bit precision like the binary format, then widen
     data = np.asarray(rows, dtype=np.float64).astype("<f4").astype(np.float64)
-    _check_finite(data)
     return data, tuple(ids) if has_ids else None
 
 
@@ -146,7 +135,9 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
     """Load an embedding file into an EmbeddingSet (64-bit internally).
 
     Ids come from the CSV id column or the sidecar when provided, otherwise
-    default to decimal row indices.
+    default to decimal row indices. The values are checked where every
+    EmbeddingSet is: non-finite ones raise NonFiniteValue, and a dimension
+    of 0 raises DimensionMismatch.
     """
     if format == "binary":
         data = _read_binary(path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingSet, KernelConfig
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, check_param
 from .selectors import SelectionResult
 
 # Enumeration limits for the exhaustive optimum.
@@ -121,8 +121,8 @@ def nn_insufficiency_instance(d: int, copies: int) -> tuple[EmbeddingSet, np.nda
     other components stay unexplained. Variance-minimizing selection spreads
     across the axes instead and drives the query variance toward zero.
     """
-    if d < 2 or copies < 1:
-        raise ValueError(f"need d >= 2 and copies >= 1, got d={d}, copies={copies}")
+    check_param("d", d, ge=2, integer=True)
+    check_param("copies", copies, ge=1, integer=True)
     data = np.repeat(np.eye(d), copies, axis=0)
     q = np.ones(d)
     q[0] = 2.0

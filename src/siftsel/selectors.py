@@ -31,8 +31,14 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpstrf
 
-from .core import NEGATIVE_VARIANCE_TOL, EmbeddingSet, KernelConfig, as_query
-from .errors import InvalidParameter, NotEnoughCandidates, NumericalFailure
+from .core import (
+    NEGATIVE_VARIANCE_TOL,
+    EmbeddingSet,
+    KernelConfig,
+    _clamp_variance,
+    as_query,
+)
+from .errors import NotEnoughCandidates, NumericalFailure, check_param
 
 # The greedy kernel folds its rank-one updates into A this many at a time,
 # with one matrix product: at r = 200 an r×r elementwise update on every
@@ -68,15 +74,22 @@ class SelectionResult:
 def _validate_inputs(candidates: EmbeddingSet, q, n_select: int) -> np.ndarray:
     if candidates.rows == 0:
         raise NotEnoughCandidates("candidate set is empty")
-    if n_select < 1:
-        raise InvalidParameter(f"n_select must be >= 1, got {n_select}")
+    check_param("n_select", n_select, ge=1, integer=True)
     return as_query(q, candidates.dim)
 
 
-def _clamp_sigma(value: float) -> float:
-    if value < -NEGATIVE_VARIANCE_TOL:
-        raise NumericalFailure(f"sigma trace went negative beyond round-off: {value!r}")
-    return max(value, 0.0)
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first k of a stable argsort of −scores, without sorting them all.
+
+    Every index tied with the k-th score is kept before the stable sort, so
+    ties go to the smallest index as in the full sort. "not greater" rather
+    than "at most" keeps NaN scores (from overflowing products), which both
+    sorts place last.
+    """
+    neg = -scores
+    kth = np.partition(neg, k - 1)[k - 1]
+    head = np.flatnonzero(~(neg > kth))
+    return head[np.argsort(neg[head], kind="stable")[:k]]
 
 
 def _candidate_factor(X: np.ndarray) -> np.ndarray:
@@ -128,7 +141,7 @@ def _greedy_kernel(
     m = 0
     kq = X @ qv
     diag = np.einsum("ij,ij->i", X, X)
-    sigma = _clamp_sigma(float(qv @ qv))
+    sigma = _clamp_variance(float(qv @ qv), "sigma trace")
     sigma_trace = [sigma]
     order: list[int] = []
     objective_trace: list[float] = []
@@ -154,7 +167,7 @@ def _greedy_kernel(
         if m == _FOLD_EVERY:
             A -= W.T @ W
             m = 0
-        sigma = _clamp_sigma(sigma - kq_best * kq_best / den)
+        sigma = _clamp_variance(sigma - kq_best * kq_best / den, "sigma trace")
         order.append(best)
         objective_trace.append(objective)
         sigma_trace.append(sigma)
@@ -267,8 +280,7 @@ def nn_select(
             raise NotEnoughCandidates(
                 f"{n_select} distinct rows requested, only {candidates.rows} exist"
             )
-        ranked = np.argsort(-scores, kind="stable")
-        order = [int(i) for i in ranked[:n_select]]
+        order = [int(i) for i in _top_k(scores, n_select)]
 
     # σ² depends on the picked rows alone, so only they are conditioned on
     rows = list(dict.fromkeys(order))
@@ -297,20 +309,12 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
     (smallest index first).
     """
     qv = as_query(q, space.dim)
-    if k_pre < 1:
-        raise InvalidParameter(f"k_pre must be >= 1, got {k_pre}")
+    check_param("k_pre", k_pre, ge=1, integer=True)
     if k_pre > space.rows:
         raise NotEnoughCandidates(
             f"preselection of {k_pre} rows from a space of {space.rows}"
         )
-    neg = -(space.data @ qv)
-    kth = np.partition(neg, k_pre - 1)[k_pre - 1]
-    # Every row tied with the k-th score is kept before the stable sort, so
-    # ties resolve to the smallest index as a full stable argsort would.
-    # "not greater" rather than "at most" keeps NaN scores (from overflowing
-    # products), which both sorts place last.
-    head = np.flatnonzero(~(neg > kth))
-    keep = head[np.argsort(neg[head], kind="stable")[:k_pre]]
+    keep = _top_k(space.data @ qv, k_pre)
     prior = space.source_rows or tuple(range(space.rows))
     return EmbeddingSet(
         data=space.data[keep],

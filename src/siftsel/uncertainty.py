@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .core import EmbeddingSet, KernelConfig, as_query, posterior_variance
-from .errors import DegenerateVariance, InvalidParameter
+from .core import EmbeddingSet, KernelConfig, _as_row_matrix, as_query, posterior_variance
+from .errors import DegenerateVariance, InvalidParameter, check_param
 from .selectors import SelectionResult
 
 # Relative singular-value cutoff separating true orthogonal components from
@@ -56,13 +56,10 @@ class ConfidenceParams:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise InvalidParameter(f"vocab_size must be >= 2, got {self.vocab_size}")
+        check_param("vocab_size", self.vocab_size, ge=2, integer=True)
+        check_param("dim", self.dim, ge=1, integer=True)
         for name in ("norm_bound", "lipschitz", "reg_lambda", "noise_rho", "kappa"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameter(f"{name} must be positive")
-        if self.dim < 1:
-            raise InvalidParameter(f"dim must be >= 1, got {self.dim}")
+            check_param(name, getattr(self, name), gt=0)
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,8 @@ class StoppingPolicy:
     n_max: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
-        if self.n_max < 1:
-            raise InvalidParameter(f"n_max must be >= 1, got {self.n_max}")
+        check_param("alpha", self.alpha, gt=0)
+        check_param("n_max", self.n_max, ge=1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -113,9 +108,9 @@ def marginal_gain(x, X, q, cfg: KernelConfig) -> float:
     k²(q,x)/(k(x,x)+λ′) under the conditional kernel after X.
     """
     qv = as_query(q)
-    stacked = list(np.asarray(r, dtype=np.float64) for r in X)
-    before = posterior_variance(stacked, qv, cfg)
-    after = posterior_variance(stacked + [np.asarray(x, dtype=np.float64)], qv, cfg)
+    X = _as_row_matrix(X, qv.shape[0])
+    before = posterior_variance(X, qv, cfg)
+    after = posterior_variance(np.vstack([X, as_query(x, qv.shape[0])]), qv, cfg)
     return before - after
 
 
@@ -134,8 +129,7 @@ def submodularity_probe(
     a theorem — hence a probe, not a proof; greedy selection's (1−1/e)
     near-optimality is only guaranteed on inputs that pass.
     """
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    check_param("trials", trials, ge=1, integer=True)
     qv = as_query(q, candidates.dim)
     rng = np.random.default_rng(seed)
     K = candidates.rows
@@ -216,11 +210,9 @@ def selected_gram_lambda_hat(selected) -> float:
 
     `selected` may be an EmbeddingSet or any sequence of row vectors.
     """
-    data = selected.data if isinstance(selected, EmbeddingSet) else selected
-    rows = [np.asarray(r, dtype=np.float64) for r in data]
-    if not rows:
+    X = _as_row_matrix(selected)
+    if X.shape[0] == 0:
         return 0.0
-    X = np.vstack(rows)
     eigs = np.linalg.eigvalsh(X @ X.T)
     return max(float(eigs[-1]), 0.0)
 
@@ -236,12 +228,11 @@ def convergence_bound_rhs(
     (data_space_lambda_min) and λ̂_n from the selected Gram
     (selected_gram_lambda_hat). The guarantee bounds σ_n² − η² from above.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    if lambda_min <= 0:
-        raise InvalidParameter(f"lambda_min must be positive, got {lambda_min}")
-    if lambda_hat_n < 0:
-        raise InvalidParameter(f"lambda_hat_n must be >= 0, got {lambda_hat_n}")
+    check_param("n", n, ge=1, integer=True)
+    check_param("d", d, ge=1, integer=True)
+    check_param("lambda_prime", lambda_prime, gt=0)
+    check_param("lambda_min", lambda_min, gt=0)
+    check_param("lambda_hat_n", lambda_hat_n, ge=0)
     return (
         d * (1.0 + 2.0 * d * lambda_prime / lambda_min)
         * math.log1p(lambda_hat_n / lambda_prime)
@@ -256,10 +247,8 @@ def beta_classification(n: int, delta: float, p: ConfidenceParams) -> float:
 
     Grows logarithmically in n and shrinks as δ grows.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must be in (0,1), got {delta}")
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+    check_param("delta", delta, gt=0, lt=1)
+    check_param("n", n, ge=1, integer=True)
     V, B, L, d, lam = (
         p.vocab_size, p.norm_bound, p.lipschitz, p.dim, p.reg_lambda,
     )
@@ -277,14 +266,11 @@ def beta_regression(n: int, delta: float, B: float, rho: float, gamma_n: float) 
     γ_n is the information gain of the observations; pass the realized
     value from realized_info_gain for an evaluable width.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must be in (0,1), got {delta}")
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    if gamma_n < 0:
-        raise InvalidParameter(f"gamma_n must be >= 0, got {gamma_n}")
-    if rho <= 0 or B < 0:
-        raise InvalidParameter("need rho > 0 and B >= 0")
+    check_param("delta", delta, gt=0, lt=1)
+    check_param("n", n, ge=1, integer=True)
+    check_param("gamma_n", gamma_n, ge=0)
+    check_param("rho", rho, gt=0)
+    check_param("B", B, ge=0)
     return B + rho * math.sqrt(2.0 * (gamma_n + 1.0 + math.log(1.0 / delta)))
 
 
@@ -296,11 +282,10 @@ def realized_info_gain(selected, lambda_prime: float) -> float:
     a practitioner can actually evaluate. `selected` may be an EmbeddingSet
     or any sequence of row vectors.
     """
-    data = selected.data if isinstance(selected, EmbeddingSet) else selected
-    rows = [np.asarray(r, dtype=np.float64) for r in data]
-    if not rows:
+    check_param("lambda_prime", lambda_prime, gt=0)
+    X = _as_row_matrix(selected)
+    if X.shape[0] == 0:
         return 0.0
-    X = np.vstack(rows)
     gram = X @ X.T
     m = gram.shape[0]
     sign, logdet = np.linalg.slogdet(np.eye(m) + gram / lambda_prime)
@@ -321,12 +306,12 @@ def marginal_info_gain(x, X, q, cfg: KernelConfig) -> InfoGain:
     selector's objective, not a different one.
     """
     qv = as_query(q)
-    rows = [np.asarray(r, dtype=np.float64) for r in X]
-    xv = np.asarray(x, dtype=np.float64)
+    X = _as_row_matrix(X, qv.shape[0])
+    xv = as_query(x, qv.shape[0])[None, :]
     s_empty = posterior_variance([], qv, cfg)
-    s_before = posterior_variance(rows, qv, cfg)
-    s_after = posterior_variance(rows + [xv], qv, cfg)
-    s_x = posterior_variance([xv], qv, cfg)
+    s_before = posterior_variance(X, qv, cfg)
+    s_after = posterior_variance(np.vstack([X, xv]), qv, cfg)
+    s_x = posterior_variance(xv, qv, cfg)
     if s_before <= 1e-15:
         raise DegenerateVariance(f"conditional variance before x is {s_before!r}")
     if min(s_after, s_x, s_empty) <= 0.0:
@@ -344,8 +329,8 @@ def adaptive_should_stop(sigma_n: float, n: int, policy: StoppingPolicy) -> bool
     selection is predicted to pay little; the 1/(αn) schedule spends
     selection effort proportionally to the predicted payoff.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+    check_param("sigma_n", sigma_n, ge=0)
+    check_param("n", n, ge=1, integer=True)
     return sigma_n > 1.0 / (policy.alpha * n) or n >= policy.n_max
 
 
@@ -378,7 +363,7 @@ def predicted_performance_gain(
     When a baseline metric value is supplied, also returns the denormalized
     uncertainty σ_n · baseline — an absolute-scale error estimate.
     """
-    if sigma_n <= 0:
-        raise InvalidParameter(f"sigma_n must be positive, got {sigma_n}")
-    denorm = None if baseline_metric is None else sigma_n * baseline_metric
-    return 1.0 / sigma_n, denorm
+    check_param("sigma_n", sigma_n, gt=0)
+    if baseline_metric is None:
+        return 1.0 / sigma_n, None
+    return 1.0 / sigma_n, sigma_n * check_param("baseline_metric", baseline_metric)

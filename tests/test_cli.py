@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -173,6 +174,27 @@ class TestExitCodes:
         monkeypatch.setattr("siftsel.cli._run_method", boom)
         assert main(["select", emb, qry, "--n", "1"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        *(["select", "{emb}", "{qry}", *extra] for extra in (
+            ["--lambda", "0"], ["--lambda", "nan"], ["--lambda", "inf"],
+            ["--lambda", "-1"], ["--alpha", "nan"], ["--preselect-k", "-5"],
+            ["--n-max", "0", "--alpha", "1"],
+        )),
+        ["stats", "{emb}", "{qry}", "--beta-n", "3", "--noise-rho", "nan"],
+        ["stats", "{emb}", "{qry}", "--beta-n", "3", "--norm-bound", "inf"],
+        ["select", "{zero_dim}", "{zero_dim}", "--no-normalize"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_input_exits_2_with_one_line(self, wfiles, tmp_path, capsys, argv):
+        emb, qry = wfiles
+        zero_dim = tmp_path / "zero_dim.bin"  # header only: 3 rows of dimension 0
+        zero_dim.write_bytes(struct.pack("<8sIII", b"SIFTEMB1", 1, 3, 0))
+        code = main([a.format(emb=emb, qry=qry, zero_dim=zero_dim) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("siftsel: ")
 
     def test_unknown_method_is_an_argparse_error(self, wfiles):
         emb, qry = wfiles

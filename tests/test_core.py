@@ -1,4 +1,5 @@
-"""Kernel algebra: posterior variance, downdates, normalization, TV distance."""
+"""Kernel algebra: posterior variance, normalization, TV distance, and the
+input boundary."""
 
 import math
 
@@ -7,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import S, W_DATA, unit_rows, unit_vector
+from conftest import W_DATA, unit_rows, unit_vector
 from siftsel import (
     DimensionMismatch,
     EmbeddingSet,
+    InputError,
     KernelConfig,
     NotAProbabilityVector,
     NumericalFailure,
+    StoppingPolicy,
     ZeroNormRow,
     as_query,
-    conditional_downdate,
     normalize_rows,
     posterior_variance,
     posterior_variance_feature_space,
@@ -52,6 +54,30 @@ class TestEmbeddingSet:
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionMismatch):
             EmbeddingSet(data=np.ones(4))
+
+
+class TestInputBoundary:
+    def test_caller_array_stays_writeable(self):
+        a = np.eye(2)
+        e = EmbeddingSet(data=a)
+        assert a.flags.writeable
+        assert not e.data.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_rejects_zero_columns(self, shape):
+        with pytest.raises(DimensionMismatch):
+            EmbeddingSet(data=np.empty(shape))
+
+    @pytest.mark.parametrize("build", [
+        lambda: KernelConfig(lambda_prime=np.nan),
+        lambda: StoppingPolicy(alpha=np.nan, n_max=5),
+        lambda: as_query([1.0, np.nan]),
+        lambda: EmbeddingSet(data=np.array([[1.0, 2.0], [3.0, np.nan]])),
+    ], ids=["KernelConfig", "StoppingPolicy", "as_query", "EmbeddingSet"])
+    def test_nan_is_an_input_error_and_a_value_error(self, build):
+        with pytest.raises(InputError) as exc:
+            build()
+        assert isinstance(exc.value, ValueError)
 
 
 class TestNormalizeRows:
@@ -144,52 +170,6 @@ class TestFeatureSpaceIdentity:
                 posterior_variance(X, q, cfg),
                 atol=1e-8,
             )
-
-
-class TestConditionalDowndate:
-    """Rank-one update k′(x,y) = k(x,y) − k(x,p)k(p,y)/(k(p,p)+λ′)."""
-
-    @staticmethod
-    def _tracked_qac():
-        pts = np.vstack([np.array([1.0, 0.0]), W_DATA[0], W_DATA[2]])  # q, a, c
-        return pts @ pts.T
-
-    def test_worked_entries_pivot_a(self):
-        out = conditional_downdate(self._tracked_qac(), 1, 1.0)
-        np.testing.assert_allclose(out[0, 2], S - S / 2.0, atol=1e-12)  # (q,c)
-        np.testing.assert_allclose(out[2, 2], 0.75, atol=1e-12)        # (c,c)
-        np.testing.assert_allclose(out, out.T, atol=1e-15)
-
-    def test_entries_orthogonal_to_pivot_unchanged(self):
-        pts = np.vstack([np.array([1.0, 0.0]), W_DATA[0], W_DATA[1]])  # q, a, b
-        K = pts @ pts.T
-        out = conditional_downdate(K, 1, 1.0)
-        assert out[0, 2] == K[0, 2] == 0.0
-        assert out[2, 2] == K[2, 2] == 1.0
-
-    def test_sequential_downdates_match_direct_conditional(self):
-        """Downdating on pivots x_1..x_m reproduces the direct conditional
-        kernel k(x,y) − k_X(x)ᵀ(K_X+λ′I)⁻¹k_X(y) entrywise."""
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            d = int(rng.integers(2, 7))
-            n = int(rng.integers(3, 9))
-            pts = unit_rows(rng, n, d)
-            lam = float(rng.choice([1e-2, 1.0]))
-            m = int(rng.integers(1, n))
-            K = pts @ pts.T
-            for p in range(m):
-                K = conditional_downdate(K, p, lam)
-            Xsel = pts[:m]
-            A = Xsel @ Xsel.T + lam * np.eye(m)
-            cross = Xsel @ pts.T
-            direct = pts @ pts.T - cross.T @ np.linalg.solve(A, cross)
-            np.testing.assert_allclose(K, direct, atol=1e-8)
-
-    def test_diagonal_negatives_beyond_tolerance_raise(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # forces 1 − 4/(1+λ′) < −tol
-        with pytest.raises(NumericalFailure):
-            conditional_downdate(bad, 0, 1e-6)
 
 
 class TestSpdSolve:

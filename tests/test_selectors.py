@@ -230,6 +230,7 @@ class TestPreselect:
             ranked = np.argsort(-scores, kind="stable")
             np.testing.assert_array_equal(first.source_rows, ranked[:10])
             np.testing.assert_array_equal(second.source_rows, ranked[:3])
+            assert nn_select(space, wquery, 10, KernelConfig()).order == tuple(ranked[:10])
         # the tied space really does tie across both cut points
         assert scores[ranked[9]] == scores[ranked[10]]
         assert scores[ranked[2]] == scores[ranked[3]]
