@@ -13,7 +13,6 @@ files, bad parameters), 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .core import EmbeddingSet, KernelConfig, as_query, normalize_rows
 from .errors import InputError, NumericalFailure, SiftselError, check_param
-from .io import read_embeddings, write_selection
+from .io import read_embeddings, strict_json, write_selection
 from .selectors import (
     nn_select,
     preselect_candidates,
@@ -225,8 +224,7 @@ def _cmd_stats(args) -> int:
                 "sigma_sq": full.sigma_trace[n_eff],
             })
         out["confidence"] = table
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(strict_json(out, indent=2) + "\n")
     return 0
 
 

@@ -84,7 +84,7 @@ class EmbeddingSet:
                 )
             object.__setattr__(self, "source_rows", src)
         if self.normalized and data.shape[0] > 0:
-            norms = np.linalg.norm(data, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", data, data))
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise InvalidParameter("normalized flag set but some row norm deviates from 1")
 
@@ -186,13 +186,17 @@ def normalize_rows(e: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit Euclidean norm, preserving ids.
 
     Raises ZeroNormRow for any row with norm below 1e-12 — a silent drop
-    would hide upstream embedding bugs.
+    would hide upstream embedding bugs. The norms are computed once: the
+    rows are unit by construction, so the result skips the normalized
+    flag's check of them.
     """
     norms = np.linalg.norm(e.data, axis=1)
     bad = np.flatnonzero(norms < _ZERO_NORM_CUTOFF)
     if bad.size:
         raise ZeroNormRow(int(bad[0]))
-    return replace(e, data=e.data / norms[:, None], normalized=True)
+    out = replace(e, data=e.data / norms[:, None], normalized=False)
+    object.__setattr__(out, "normalized", True)
+    return out
 
 
 def posterior_variance(selected, q, cfg: KernelConfig) -> float:

@@ -93,14 +93,15 @@ class RaggedRow(EmbeddingIOError):
         super().__init__(f"row {row} has a different number of values than the first row")
 
 
-_BOUNDS = ((">", operator.gt), (">=", operator.ge), ("<", operator.lt))
+_BOUNDS = ((">", operator.gt), (">=", operator.ge), ("<", operator.lt), ("<=", operator.le))
 
 
-def check_param(name: str, value, *, gt=None, ge=None, lt=None, integer: bool = False):
+def check_param(name: str, value, *, gt=None, ge=None, lt=None, le=None,
+                integer: bool = False):
     """Return `value` if it is a finite real number (an integer when
-    `integer`) that is > gt, >= ge and < lt for each bound given; otherwise
-    raise InvalidParameter naming the parameter and the value."""
-    bounds = [(sym, op, b) for (sym, op), b in zip(_BOUNDS, (gt, ge, lt)) if b is not None]
+    `integer`) that is > gt, >= ge, < lt and <= le for each bound given;
+    otherwise raise InvalidParameter naming the parameter and the value."""
+    bounds = [(sym, op, b) for (sym, op), b in zip(_BOUNDS, (gt, ge, lt, le)) if b is not None]
     if (isinstance(value, numbers.Integral if integer else numbers.Real)
             and (integer or math.isfinite(value))
             and all(op(value, b) for _, op, b in bounds)):

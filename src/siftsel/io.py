@@ -6,9 +6,16 @@ Two embedding formats, both storing 32-bit values that are widened to
 - binary: 8-byte magic "SIFTEMB1", then three little-endian u32 fields
   (version=1, row count n, dimension d), then n·d IEEE-754 float32
   little-endian values in row-major order. Byte-identical across platforms.
-- csv: one row per line, comma separated, '.' decimal point, '#' comment
-  lines skipped; an optional header whose first field is exactly "id" makes
-  the first column a string identifier per row.
+- csv: one row per line, comma separated; blank lines and lines starting
+  with '#' are skipped; an optional header whose first field is exactly
+  "id" makes the first column a string identifier per row. Values are
+  parsed by NumPy's loadtxt: decimal or exponent notation with a '.'
+  decimal point ("-1", "2.5", ".5", "1e-3"), or nan/inf, with whitespace
+  around a field ignored. Python's float() also took underscores ("1_0")
+  and non-ASCII digits; these are rejected as unparseable. Every row must
+  hold as many values as the first (RaggedRow), and a bad value raises
+  EmbeddingIOError naming the path, row, column and value; rows count data
+  rows only.
 
 Row ids can also come from a sidecar text file (one id per line). Ids
 default to the row index rendered as a decimal string.
@@ -31,6 +38,7 @@ from .core import EmbeddingSet
 from .errors import (
     BadMagic,
     EmbeddingIOError,
+    NumericalFailure,
     RaggedRow,
     TruncatedPayload,
 )
@@ -90,45 +98,69 @@ def _read_binary(path) -> np.ndarray:
     return data.astype(np.float64)
 
 
+# The one CSV value grammar: np.loadtxt's, for the whole file and for the
+# lookup of a bad row alike.
+_LOADTXT = dict(delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+
+
+def _parses(text: str) -> bool:
+    """Whether np.loadtxt reads `text` as one row of numbers. An empty text
+    is not a number: loadtxt would skip it as a blank line."""
+    if not text.strip():
+        return False
+    try:
+        np.loadtxt([text], **_LOADTXT)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(path, lines: list[str], has_ids: bool) -> None:
+    """Raise the error of the first malformed data row, looked up only after
+    the vectorized parse has failed: RaggedRow when its value count differs
+    from the first row's, else EmbeddingIOError for its first value that
+    np.loadtxt cannot parse. Returns only when every row holds the same
+    number of parseable values, which for a failed parse means none."""
+    dim = None
+    for row, line in enumerate(lines):
+        fields = line.split(",")[1:] if has_ids else line.split(",")
+        if dim is None:
+            dim = len(fields)
+        elif len(fields) != dim:
+            raise RaggedRow(row)
+        if fields and not _parses(",".join(fields)):
+            col = next(c for c, f in enumerate(fields) if not _parses(f))
+            raise EmbeddingIOError(
+                f"{path}: unparseable value {fields[col].strip()!r} at row {row}, column {col}"
+            )
+
+
 def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    rows: list[list[float]] = []
-    ids: list[str] = []
-    has_ids = False
-    dim: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        content_row = 0
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if content_row == 0 and fields and fields[0] == "id":
-                has_ids = True
-                content_row += 1
-                continue
-            row_index = len(rows)
-            if has_ids:
-                ids.append(fields[0])
-                fields = fields[1:]
-            if dim is None:
-                dim = len(fields)
-            elif len(fields) != dim:
-                raise RaggedRow(row_index)
-            values = []
-            for col, f in enumerate(fields):
-                try:
-                    values.append(float(f))
-                except ValueError:
-                    raise EmbeddingIOError(
-                        f"{path}: unparseable value {f!r} at row {row_index}, column {col}"
-                    ) from None
-            rows.append(values)
-            content_row += 1
-    if not rows:
+        lines = [s for s in (line.strip() for line in fh.read().split("\n"))
+                 if s and not s.startswith("#")]
+    has_ids = bool(lines) and lines[0].partition(",")[0].strip() == "id"
+    if has_ids:
+        del lines[0]
+    if not lines:
         raise EmbeddingIOError(f"{path} contains no data rows")
-    # store at 32-bit precision like the binary format, then widen
-    data = np.asarray(rows, dtype=np.float64).astype("<f4").astype(np.float64)
-    return data, tuple(ids) if has_ids else None
+    if has_ids:
+        parts = [line.partition(",") for line in lines]
+        ids = tuple(head.strip() for head, _, _ in parts)
+        values = [tail for _, _, tail in parts]
+    else:
+        ids, values = None, lines
+    try:
+        if not all(values):
+            raise ValueError("a line holds an id and no values")  # loadtxt would skip it
+        data = np.loadtxt(values, **_LOADTXT)
+    except ValueError:
+        _raise_first_bad_row(path, lines, has_ids)
+        data = np.empty((len(lines), 0))  # ids alone: EmbeddingSet refuses dimension 0
+    # store at 32-bit precision like the binary format, then widen; a value
+    # beyond float32's range becomes inf, which EmbeddingSet refuses
+    with np.errstate(over="ignore"):
+        return data.astype("<f4").astype(np.float64), ids
 
 
 def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet:
@@ -181,6 +213,15 @@ def write_embeddings(e: EmbeddingSet, path, format: str = "binary", ids_path=Non
         Path(ids_path).write_text("\n".join(e.ids) + "\n", encoding="utf-8")
 
 
+def strict_json(obj, **kwargs) -> str:
+    """json.dumps without NaN or infinities, which are not JSON: a
+    non-finite value raises NumericalFailure instead."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalFailure(f"cannot write a non-finite value as JSON ({exc})") from None
+
+
 def write_selection(result: SelectionResult, ids, out, source_rows=None) -> None:
     """Serialize a selection as JSON Lines.
 
@@ -188,35 +229,32 @@ def write_selection(result: SelectionResult, ids, out, source_rows=None) -> None
     original index), id, objective, sigma_sq (the query variance after
     including the row), then one summary object. `ids` indexes the candidate
     set the selection ran on; source_rows maps candidate rows back to
-    original rows when the candidates were a preselected subset.
+    original rows when the candidates were a preselected subset. A
+    non-finite value raises NumericalFailure before anything is written.
     """
-    own = None
+    records = []
+    for i, row in enumerate(result.order):
+        orig = int(source_rows[row]) if source_rows is not None else int(row)
+        records.append({
+            "rank": i + 1,
+            "row": orig,
+            "id": str(ids[row]) if ids is not None else str(orig),
+            "objective": float(result.objective_trace[i]),
+            "sigma_sq": float(result.sigma_trace[i + 1]),
+        })
+    records.append({
+        "method": result.method,
+        "lambda_prime": float(result.lambda_prime),
+        "n": len(result.order),
+        "sigma0_sq": float(result.sigma_trace[0]),
+        "sigma_final_sq": float(result.sigma_trace[-1]),
+    })
+    text = "".join(strict_json(r) + "\n" for r in records)
     if hasattr(out, "write"):
-        fh = out
+        out.write(text)
     else:
-        own = open(out, "w", encoding="utf-8")
-        fh = own
-    try:
-        for i, row in enumerate(result.order):
-            orig = int(source_rows[row]) if source_rows is not None else int(row)
-            rid = str(ids[row]) if ids is not None else str(orig)
-            fh.write(json.dumps({
-                "rank": i + 1,
-                "row": orig,
-                "id": rid,
-                "objective": float(result.objective_trace[i]),
-                "sigma_sq": float(result.sigma_trace[i + 1]),
-            }) + "\n")
-        fh.write(json.dumps({
-            "method": result.method,
-            "lambda_prime": float(result.lambda_prime),
-            "n": len(result.order),
-            "sigma0_sq": float(result.sigma_trace[0]),
-            "sigma_final_sq": float(result.sigma_trace[-1]),
-        }) + "\n")
-    finally:
-        if own is not None:
-            own.close()
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def read_selection(path) -> tuple[list[dict], dict]:

@@ -45,6 +45,11 @@ from .errors import NotEnoughCandidates, NumericalFailure, check_param
 # step cost more than all the rest of the step.
 _FOLD_EVERY = 64
 
+# The most rows one selection may pick. A step costs a pass over the
+# candidates whatever the number of picks, so an unbounded count runs for
+# as long as it is told to: 100,000 picks from a 200-row pool take seconds.
+MAX_N_SELECT = 100_000
+
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -74,7 +79,7 @@ class SelectionResult:
 def _validate_inputs(candidates: EmbeddingSet, q, n_select: int) -> np.ndarray:
     if candidates.rows == 0:
         raise NotEnoughCandidates("candidate set is empty")
-    check_param("n_select", n_select, ge=1, integer=True)
+    check_param("n_select", n_select, ge=1, le=MAX_N_SELECT, integer=True)
     return as_query(q, candidates.dim)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import W_DATA
-from siftsel import EmbeddingSet, NumericalFailure, write_embeddings
+from siftsel import EmbeddingSet, NumericalFailure, SelectionResult, write_embeddings
 from siftsel.cli import main
 
 
@@ -135,6 +135,21 @@ class TestSelect:
         ])
         assert lines[0]["id"] == "a"
 
+    def test_binary_and_csv_inputs_select_alike(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((60, 6))
+        data[30:] = data[:30] + 0.01 * rng.standard_normal((30, 6))
+        query = data[:4] + 0.2 * rng.standard_normal((4, 6))
+        outputs = {}
+        for fmt in ("binary", "csv"):
+            emb, qry = tmp_path / f"emb.{fmt}", tmp_path / f"qry.{fmt}"
+            write_embeddings(EmbeddingSet(data=data), emb, format=fmt)
+            write_embeddings(EmbeddingSet(data=query), qry, format=fmt)
+            outputs[fmt] = [run_select_lines(capsys, [
+                "select", str(emb), str(qry), "--format", fmt, "--query-row", str(i),
+                "--n", "12", "--preselect-k", "40"]) for i in range(4)]
+        assert outputs["csv"] == outputs["binary"]
+
     def test_byte_identical_across_runs(self, wfiles, capsys):
         emb, qry = wfiles
         argv = ["select", emb, qry, "--n", "2", "--lambda", "0.01"]
@@ -175,11 +190,30 @@ class TestExitCodes:
         assert main(["select", emb, qry, "--n", "1"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_output_exits_3(self, wfiles, capsys, monkeypatch):
+        emb, qry = wfiles
+
+        def nan_result(method, pool, q, n_select, cfg):
+            return SelectionResult(order=(0,), objective_trace=(0.5,),
+                                   sigma_trace=(1.0, float("nan")), method=method,
+                                   lambda_prime=cfg.lambda_prime)
+
+        monkeypatch.setattr("siftsel.cli._run_method", nan_result)
+        assert main(["select", emb, qry, "--n", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("siftsel: numerical failure")
+        assert len(captured.err.splitlines()) == 1
+
+        monkeypatch.setattr("siftsel.cli.irreducible_uncertainty", lambda *a: float("inf"))
+        assert main(["stats", emb, qry]) == 3
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv", [
         *(["select", "{emb}", "{qry}", *extra] for extra in (
             ["--lambda", "0"], ["--lambda", "nan"], ["--lambda", "inf"],
             ["--lambda", "-1"], ["--alpha", "nan"], ["--preselect-k", "-5"],
-            ["--n-max", "0", "--alpha", "1"],
+            ["--n-max", "0", "--alpha", "1"], ["--n", "100000000000000"],
         )),
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--noise-rho", "nan"],
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--norm-bound", "inf"],

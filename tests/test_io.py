@@ -2,10 +2,13 @@
 
 import io
 import json
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import W_DATA
 from siftsel import (
@@ -14,7 +17,9 @@ from siftsel import (
     EmbeddingSet,
     KernelConfig,
     NonFiniteValue,
+    NumericalFailure,
     RaggedRow,
+    SelectionResult,
     TruncatedPayload,
     preselect_candidates,
     read_embeddings,
@@ -181,6 +186,42 @@ class TestCsvFormat:
             read_embeddings(p, format="csv")
         assert (exc.value.row, exc.value.col) == (0, 1)
 
+    @pytest.mark.parametrize("text, error, row, col", [
+        # an id with no values is ragged, not a missing row
+        ("id,v0,v1\na,1,2\nb\nc,3,4\n", RaggedRow, 1, None),
+        ("# c\n1,2\n\n# c\n3,4,5\n", RaggedRow, 1, None),
+        ("1,2,3\n1,,2\n", EmbeddingIOError, 1, 1),
+        ("1,2\n3,4,\n", RaggedRow, 1, None),
+        ("1,2,\n", EmbeddingIOError, 0, 2),
+        ("1,2#c\n", EmbeddingIOError, 0, 1),
+        ("id,v0,v1\n# c\na,1,2\n\nb,3,nan\n", NonFiniteValue, 1, 1),
+        # beyond float32's range: stored as inf, refused without a warning
+        ("1,2\n3,1e39\n", NonFiniteValue, 1, 1),
+    ], ids=["id-only", "ragged-after-comments", "empty-field", "trailing-comma",
+            "trailing-comma-single-row", "inline-hash", "nan", "float32-overflow"])
+    def test_malformed_rows_are_located(self, tmp_path, text, error, row, col):
+        p = tmp_path / "emb.csv"
+        p.write_text(text)
+        with pytest.raises(EmbeddingIOError) as exc:
+            read_embeddings(p, format="csv")
+        assert type(exc.value) is error
+        if error is EmbeddingIOError:
+            assert str(p) in str(exc.value)
+            assert f"at row {row}, column {col}" in str(exc.value)
+        else:
+            assert exc.value.row == row
+            if col is not None:
+                assert exc.value.col == col
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"])
+    def test_python_only_number_spellings_rejected(self, tmp_path, value):
+        """Values follow NumPy's loadtxt grammar: the underscores and
+        non-ASCII digits that Python's float() takes are unparseable."""
+        p = tmp_path / "emb.csv"
+        p.write_text(f"1,2\n3,{value}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingIOError, match="at row 1, column 1"):
+            read_embeddings(p, format="csv")
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("# nothing here\n")
@@ -199,6 +240,48 @@ class TestCsvFormat:
         write_embeddings(e, tmp_path / "emb.bin")
         with pytest.raises(EmbeddingIOError):
             read_embeddings(tmp_path / "emb.bin", format="parquet")
+
+
+_CSV_ID = st.text(alphabet=string.ascii_letters + string.digits + "_-.", max_size=6)
+_CSV_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_CSV_FILLER = st.lists(st.sampled_from(["", "   ", "# note", "  # note, 1,2"]), max_size=2)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, data, ids): the rows of `data` in CSV with `ids` (or none),
+    spaces around fields, comment and blank lines between rows, and LF or
+    CRLF line endings."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    data = np.array(draw(st.lists(
+        st.lists(st.floats(-1e38, 1e38), min_size=d, max_size=d),
+        min_size=n, max_size=n)))
+    ids = tuple(draw(st.lists(_CSV_ID, min_size=n, max_size=n))) if draw(st.booleans()) else None
+
+    def line(fields):
+        return ",".join(draw(_CSV_PAD) + f + draw(_CSV_PAD) for f in fields)
+
+    lines = draw(_CSV_FILLER)
+    if ids is not None:
+        lines.append(line(["id", *(f"v{j}" for j in range(d))]))
+    for r in range(n):
+        lines += draw(_CSV_FILLER)
+        values = [repr(float(v)) for v in data[r]]
+        lines.append(line([ids[r], *values] if ids is not None else values))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + ending, data, ids
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_texts())
+def test_csv_round_trip_property(tmp_path, case):
+    text, data, ids = case
+    p = tmp_path / "emb.csv"
+    p.write_bytes(text.encode("utf-8"))
+    back = read_embeddings(p, format="csv")
+    np.testing.assert_array_equal(back.data, data.astype("<f4").astype(np.float64))
+    assert back.ids == (ids if ids is not None else tuple(str(i) for i in range(len(data))))
 
 
 class TestSelectionSerialization:
@@ -240,6 +323,18 @@ class TestSelectionSerialization:
         buf = io.StringIO()
         write_selection(r, wspace.ids, buf)
         assert len(buf.getvalue().splitlines()) == 2
+
+    def test_non_finite_value_is_a_numerical_failure(self, tmp_path):
+        r = SelectionResult(order=(0,), objective_trace=(float("nan"),),
+                            sigma_trace=(1.0, float("nan")), method="sift",
+                            lambda_prime=0.01)
+        buf = io.StringIO()
+        with pytest.raises(NumericalFailure):
+            write_selection(r, None, buf)
+        assert buf.getvalue() == ""
+        with pytest.raises(NumericalFailure):
+            write_selection(r, None, tmp_path / "sel.jsonl")
+        assert not (tmp_path / "sel.jsonl").exists()
 
     def test_read_selection_requires_summary(self, tmp_path):
         p = tmp_path / "sel.jsonl"

@@ -22,6 +22,7 @@ from siftsel import (
     submodularity_probe,
     uncertainty_sampling_select,
 )
+from siftsel.selectors import MAX_N_SELECT
 
 
 def nonneg_instance(seed, K, d, lam=0.01):
@@ -79,6 +80,14 @@ class TestSiftSelect:
         space = EmbeddingSet(data=np.eye(2))
         with pytest.raises(InvalidParameter):
             sift_select(space, wquery, 0, wcfg)
+
+    @pytest.mark.parametrize("select", [
+        sift_select, sift_fast_select, uncertainty_sampling_select, nn_select,
+        lambda *a: nn_select(*a, failure_mode=True),
+    ])
+    def test_n_select_has_a_ceiling(self, wspace, wquery, wcfg, select):
+        with pytest.raises(InvalidParameter, match="n_select must be an integer >= 1 and <= 100000"):
+            select(wspace, wquery, MAX_N_SELECT + 1, wcfg)
 
 
 class TestSiftFastSelect:
