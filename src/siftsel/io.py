@@ -20,6 +20,9 @@ Two embedding formats, both storing 32-bit values that are widened to
 Row ids can also come from a sidecar text file (one id per line). Ids
 default to the row index rendered as a decimal string.
 
+CSV files and id sidecars must be UTF-8; a byte that is not raises
+EmbeddingIOError naming the path and the byte's offset (CLI exit 2).
+
 Selection results serialize to JSON Lines: one object per selected row
 (rank, row, id, objective, sigma_sq) followed by a summary object (method,
 lambda_prime, n, sigma0_sq, sigma_final_sq).
@@ -59,8 +62,26 @@ class EmbeddingFileHeader:
     dim: int
 
 
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file, its CRLF and lone CR line ends read as LF,
+    as open() reads them. A byte that is not UTF-8 raises EmbeddingIOError
+    naming the path and the byte's offset."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingIOError(
+            f"{path} is not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    # searching for "\r\n" costs more than reading the file, so only text
+    # that holds a CR pays for it
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_sidecar_ids(ids_path, n: int) -> tuple[str, ...]:
-    lines = Path(ids_path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(ids_path).splitlines()
     if len(lines) != n:
         raise EmbeddingIOError(
             f"id sidecar {ids_path} has {len(lines)} lines for {n} rows"
@@ -136,9 +157,8 @@ def _raise_first_bad_row(path, lines: list[str], has_ids: bool) -> None:
 
 
 def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [s for s in (line.strip() for line in fh.read().split("\n"))
-                 if s and not s.startswith("#")]
+    lines = [s for s in (line.strip() for line in _read_utf8(path).split("\n"))
+             if s and not s.startswith("#")]
     has_ids = bool(lines) and lines[0].partition(",")[0].strip() == "id"
     if has_ids:
         del lines[0]

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingSet, KernelConfig
-from .errors import InstanceTooLarge, check_param
+from .errors import InstanceTooLarge, InvalidParameter, check_param
 from .selectors import SelectionResult
+from .uncertainty import _RANK_CUTOFF
 
 # Enumeration limits for the exhaustive optimum.
 _MAX_EXHAUSTIVE_CANDIDATES = 7
@@ -128,6 +129,19 @@ def nn_insufficiency_instance(d: int, copies: int) -> tuple[EmbeddingSet, np.nda
     q[0] = 2.0
     q /= np.linalg.norm(q)
     return EmbeddingSet(data=data, normalized=True), q
+
+
+def irreducible_uncertainty_oracle(space: EmbeddingSet, q) -> float:
+    """η²(q) by the thin SVD alone: ‖q‖² minus the squared norm of q's
+    projection on the right singular vectors above the relative rank cutoff
+    1e-10. No full-rank shortcut."""
+    if space.rows == 0:
+        raise InvalidParameter("space must be non-empty")
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    s, vt = np.linalg.svd(space.data, full_matrices=False)[1:]
+    rank = int(np.sum(s > _RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
+    coeffs = vt[:rank] @ q
+    return max(float(q @ q) - float(coeffs @ coeffs), 0.0)
 
 
 def compare_runs(oracle: SelectionResult, other: SelectionResult) -> OracleReport:

@@ -311,7 +311,8 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
     Ids are carried over and source_rows records each kept row's index in
     the original space (composed through any prior preselection), so
     downstream reports can name original rows. Deterministic under ties
-    (smallest index first).
+    (smallest index first). Past the one pass that scores the rows, the
+    work is on the k_pre kept rows alone.
     """
     qv = as_query(q, space.dim)
     check_param("k_pre", k_pre, ge=1, integer=True)
@@ -319,11 +320,12 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         raise NotEnoughCandidates(
             f"preselection of {k_pre} rows from a space of {space.rows}"
         )
-    keep = _top_k(space.data @ qv, k_pre)
-    prior = space.source_rows or tuple(range(space.rows))
+    top = _top_k(space.data @ qv, k_pre)
+    keep = top.tolist()
+    prior = space.source_rows
     return EmbeddingSet(
-        data=space.data[keep],
+        data=space.data[top],
         ids=None if space.ids is None else tuple(space.ids[i] for i in keep),
         normalized=space.normalized,
-        source_rows=tuple(prior[i] for i in keep),
+        source_rows=keep if prior is None else tuple(prior[i] for i in keep),
     )

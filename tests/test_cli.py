@@ -230,6 +230,29 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("siftsel: ")
 
+    @pytest.mark.parametrize("kind", ["csv", "ids-sidecar"])
+    def test_non_utf8_input_exits_2(self, wfiles, tmp_path, capsys, kind):
+        """A Latin-1 byte in a CSV collection or an --ids sidecar is an
+        input error naming the file and the byte's offset."""
+        qry = tmp_path / "q.csv"
+        qry.write_text("1\n", encoding="utf-8")
+        if kind == "csv":
+            bad = tmp_path / "e.csv"
+            bad.write_bytes(b"id,v0\na\xe9,1\n")
+            argv, offset = ["select", str(bad), str(qry), "--format", "csv"], 7
+        else:
+            emb, qry = wfiles
+            bad = tmp_path / "ids.txt"
+            bad.write_bytes(b"a\nb\xe9\nc\n")
+            argv, offset = ["select", emb, qry, "--ids", str(bad)], 3
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("siftsel: ")
+        assert str(bad) in lines[0] and f"offset {offset}" in lines[0]
+
     def test_unknown_method_is_an_argparse_error(self, wfiles):
         emb, qry = wfiles
         with pytest.raises(SystemExit) as exc:

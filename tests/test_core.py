@@ -25,6 +25,7 @@ from siftsel import (
     spd_solve,
     tv_distance,
 )
+from siftsel.core import _NORM_BLOCK
 
 
 class TestEmbeddingSet:
@@ -93,6 +94,16 @@ class TestNormalizeRows:
         once = normalize_rows(e)
         twice = normalize_rows(once)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, dim", [(1, 3), (_NORM_BLOCK - 1, 128),
+                                           (2 * _NORM_BLOCK + 5, 37)])
+    def test_rows_divide_by_numpy_norms_byte_for_byte(self, rows, dim):
+        """Blocks of rows end in a partial block here; each row's sum of
+        squares is reduced alone, as np.linalg.norm(axis=1) reduces it."""
+        rng = np.random.default_rng(rows)
+        data = rng.normal(size=(rows, dim)) * rng.uniform(1e-3, 1e3, size=(rows, 1))
+        expected = data / np.linalg.norm(data, axis=1)[:, None]
+        assert normalize_rows(EmbeddingSet(data=data)).data.tobytes() == expected.tobytes()
 
     def test_zero_row_is_an_error_with_row_index(self):
         with pytest.raises(ZeroNormRow) as exc:

@@ -222,6 +222,24 @@ class TestCsvFormat:
         with pytest.raises(EmbeddingIOError, match="at row 1, column 1"):
             read_embeddings(p, format="csv")
 
+    def test_non_utf8_byte_is_located(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        p.write_bytes(b"1,2\n3,4\xff\n")
+        with pytest.raises(EmbeddingIOError, match="byte 0xff at offset 7") as exc:
+            read_embeddings(p, format="csv")
+        assert str(p) in str(exc.value)
+
+    def test_carriage_returns_end_lines(self, tmp_path):
+        """CRLF and a lone CR end a line, in the CSV and in a sidecar."""
+        p = tmp_path / "emb.csv"
+        p.write_bytes(b"id,v0\r\na,1\rb,2\r\n")
+        back = read_embeddings(p, format="csv")
+        assert back.ids == ("a", "b")
+        np.testing.assert_array_equal(back.data, [[1.0], [2.0]])
+        ids = tmp_path / "ids.txt"
+        ids.write_bytes(b"x\ry\r\n")
+        assert read_embeddings(p, format="csv", ids_path=ids).ids == ("x", "y")
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("# nothing here\n")

@@ -3,15 +3,20 @@ optimized selectors are checked against."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_rows, unit_vector
 from siftsel import (
     EmbeddingSet,
     InstanceTooLarge,
+    InvalidParameter,
     KernelConfig,
     compare_runs,
     exhaustive_optimum,
     greedy_direct_oracle,
+    irreducible_uncertainty,
+    irreducible_uncertainty_oracle,
     nn_insufficiency_instance,
     sift_select,
     uncertainty_reduction,
@@ -142,6 +147,54 @@ class TestExhaustiveOptimum:
         cfg = KernelConfig(lambda_prime=1e-8)
         _, psi = exhaustive_optimum(space, q, 3, cfg)
         np.testing.assert_allclose(psi, 1.0, atol=1e-6)
+
+
+# The smallest singular value of rows built from their SVD, the others lying
+# in [0.5, 1]: 1e-12 falls below the 1e-10 relative rank cutoff, 1e-9 and
+# 1e-7 above it but far below the full-rank certificate
+SMALLEST_SINGULAR = {"rank-d-1": 0.0, "near-1e-12": 1e-12, "near-1e-9": 1e-9,
+                     "near-1e-7": 1e-7}
+ETA_FAMILIES = ("full-rank", "duplicate-heavy", *SMALLEST_SINGULAR, "one-row-1e6", "square")
+
+
+def _eta_case(family, seed):
+    """K ≥ d rows of one family and a query that need not lie in their span."""
+    rng = np.random.default_rng([ETA_FAMILIES.index(family), seed])
+    d = int(rng.integers(2, 17))
+    K = d if family == "square" else int(rng.integers(d, 4 * d + 1))
+    if family == "duplicate-heavy":
+        base = rng.normal(size=(int(rng.integers(1, d + 2)), d))
+        X = base[rng.integers(0, len(base), size=K)]
+    elif family in SMALLEST_SINGULAR:
+        u = np.linalg.qr(rng.normal(size=(K, d)))[0]
+        v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        s = rng.uniform(0.5, 1.0, size=d)
+        s[-1] = SMALLEST_SINGULAR[family]
+        X = (u * s) @ v.T
+    else:
+        X = rng.normal(size=(K, d))
+        if family == "one-row-1e6":  # tr(XᵀX) dwarfs every eigenvalue but one
+            X[int(rng.integers(0, K))] *= 1e6
+    return EmbeddingSet(data=X), rng.normal(size=d)
+
+
+class TestIrreducibleUncertaintyOracle:
+    def test_off_span_component(self):
+        space = EmbeddingSet(data=np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert irreducible_uncertainty_oracle(space, [3.0, 4.0]) == pytest.approx(16.0)
+        zero = EmbeddingSet(data=np.zeros((3, 2)))
+        assert irreducible_uncertainty_oracle(zero, [3.0, 4.0]) == pytest.approx(25.0)
+        with pytest.raises(InvalidParameter):
+            irreducible_uncertainty_oracle(EmbeddingSet(data=np.empty((0, 2))), [1.0, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(ETA_FAMILIES), seed=st.integers(0, 2**31 - 1))
+    def test_matches_the_shipped_floor(self, family, seed):
+        """The Cholesky certificate returns 0 only where the SVD finds the
+        rows spanning ℝ^d; everywhere else both run the same SVD."""
+        space, q = _eta_case(family, seed)
+        assert irreducible_uncertainty(space, q) == pytest.approx(
+            irreducible_uncertainty_oracle(space, q), rel=0, abs=1e-12)
 
 
 class TestInsufficiencyInstance:

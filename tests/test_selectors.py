@@ -224,6 +224,25 @@ class TestPreselect:
         sub = preselect_candidates(space, wquery, 2)
         assert sub.ids == ("a", "c")
 
+    def test_source_rows_are_the_stable_argsort_head(self, wquery):
+        """Without prior source_rows, the kept rows are the head of the full
+        stable argsort of −scores, as Python ints, with ids and rows in the
+        same order. Dyadic rows give exact scores, so ties cross the cuts."""
+        rng = np.random.default_rng(11)
+        dyadic = np.array([[1.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.0, 1.0]])
+        data = dyadic[rng.integers(0, 4, size=60)]
+        ids = tuple(f"doc{i}" for i in range(60))
+        space = EmbeddingSet(data=data, ids=ids)
+        scores = data @ wquery
+        ranked = np.argsort(-scores, kind="stable")
+        assert scores[ranked[6]] == scores[ranked[7]]
+        for k in (1, 7, 31, 60):
+            sub = preselect_candidates(space, wquery, k)
+            assert sub.source_rows == tuple(int(i) for i in ranked[:k])
+            assert all(type(i) is int for i in sub.source_rows)
+            assert sub.ids == tuple(ids[i] for i in ranked[:k])
+            np.testing.assert_array_equal(sub.data, data[ranked[:k]])
+
     def test_provenance_composes_through_nested_preselection(self, wquery):
         """Both levels keep the rows a full stable sort keeps. The tied space
         repeats four dyadic rows (exact scores) so the 10th and 3rd scores
