@@ -10,12 +10,14 @@ where K_X is the Gram matrix of the observed rows and λ′ > 0 plays the role
 of observation noise. This module provides that quantity in both its kernel
 form and its equivalent feature-space form, row normalization, and total
 variation distance. All arithmetic is 64-bit regardless of on-disk storage.
-EmbeddingSet is the one place embedding rows are checked.
+EmbeddingSet checks every row it is given. Arrays the package makes itself,
+by reading a file, normalizing or preselecting, are checked as they are made
+and enter a set through EmbeddingSet._certified without a second pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,12 +42,20 @@ _ZERO_NORM_CUTOFF = 1e-12
 _NORM_BLOCK = 4096
 
 
-def _check_finite(data: np.ndarray) -> None:
-    """Raise NonFiniteValue at the first NaN or infinity of a 2-D array;
-    the position is looked up only after one pass has found one."""
+def _check_finite(data: np.ndarray, first_row: int = 0) -> None:
+    """Raise NonFiniteValue at the first NaN or infinity of a 2-D array,
+    counting its rows from `first_row`; the position is looked up only
+    after one pass has found one."""
     if not np.isfinite(data).all():
         r, c = np.argwhere(~np.isfinite(data))[0]
-        raise NonFiniteValue(int(r), int(c))
+        raise NonFiniteValue(first_row + int(r), int(c))
+
+
+def _check_columns(data: np.ndarray) -> None:
+    if data.ndim != 2 or data.shape[1] == 0:
+        raise DimensionMismatch(
+            f"embedding data must be 2-D with at least one column, got shape {data.shape}"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,9 @@ class EmbeddingSet:
     data is (n, d) float64, one embedding per row. ids, when present, has
     exactly n entries. source_rows records the original row index of each
     row when the set is a subset of a larger space (None means identity).
-    The set keeps a read-only view of data; the caller's array stays as is.
+    The set keeps a read-only copy of data, so later writes to the
+    caller's array do not reach it; sets the package makes from arrays of
+    its own take those arrays over instead (EmbeddingSet._certified).
     """
 
     data: np.ndarray
@@ -64,11 +76,8 @@ class EmbeddingSet:
     source_rows: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64)).view()
-        if data.ndim != 2 or data.shape[1] == 0:
-            raise DimensionMismatch(
-                f"embedding data must be 2-D with at least one column, got shape {data.shape}"
-            )
+        data = np.array(self.data, dtype=np.float64, order="C")
+        _check_columns(data)
         _check_finite(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -91,6 +100,22 @@ class EmbeddingSet:
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise InvalidParameter("normalized flag set but some row norm deviates from 1")
 
+    @classmethod
+    def _certified(cls, data: np.ndarray, ids=None, normalized: bool = False,
+                   source_rows=None) -> EmbeddingSet:
+        """A set over an (n, d) float64 C-contiguous array that the package
+        has just made and checked: finite, unit rows when `normalized`, and
+        n-entry tuples of str ids and int source rows when given. The set
+        takes the array over and freezes it, without a copy or a second
+        check; only a dimension of 0 is refused."""
+        _check_columns(data)
+        data.flags.writeable = False
+        e = object.__new__(cls)
+        for name, value in (("data", data), ("ids", ids), ("normalized", normalized),
+                            ("source_rows", source_rows)):
+            object.__setattr__(e, name, value)
+        return e
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -100,10 +125,12 @@ class EmbeddingSet:
         return self.data.shape[1]
 
     def id_of(self, row: int) -> str:
-        """The string id of a row, defaulting to its decimal index."""
+        """The string id of a row, defaulting to its decimal index in the
+        original space (source_rows[row] for a subset), as write_selection
+        names it."""
         if self.ids is not None:
             return self.ids[row]
-        return str(row)
+        return str(row if self.source_rows is None else self.source_rows[row])
 
 
 @dataclass(frozen=True)
@@ -189,24 +216,31 @@ def normalize_rows(e: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit Euclidean norm, preserving ids.
 
     Raises ZeroNormRow for any row with norm below 1e-12 — a silent drop
-    would hide upstream embedding bugs. The norms are computed once: the
-    rows are unit by construction, so the result skips the normalized
-    flag's check of them.
+    would hide upstream embedding bugs. A row whose sum of squares
+    overflows float64 is divided by its largest magnitude first. The norms
+    are computed once: finite rows divided by norms of at least 1e-12 are
+    finite and unit by construction, so the result skips the finiteness
+    and normalized checks of them.
     """
     # np.linalg.norm(axis=1)'s own sum of squares, a block of rows at a
     # time: each row is reduced alone, so the norms are the same bytes,
     # without a squared copy of the whole matrix (25 ms against 61 ms at
     # 100k×128 on two cores)
     norms = np.empty(e.rows)
-    for start in range(0, e.rows, _NORM_BLOCK):
-        block = e.data[start:start + _NORM_BLOCK]
-        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start:start + _NORM_BLOCK])
+    with np.errstate(over="ignore"):
+        for start in range(0, e.rows, _NORM_BLOCK):
+            block = e.data[start:start + _NORM_BLOCK]
+            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start:start + _NORM_BLOCK])
     bad = np.flatnonzero(norms < _ZERO_NORM_CUTOFF)
     if bad.size:
         raise ZeroNormRow(int(bad[0]))
-    out = replace(e, data=e.data / norms[:, None], normalized=False)
-    object.__setattr__(out, "normalized", True)
-    return out
+    out = e.data / norms[:, None]
+    # a finite row whose sum of squares overflowed divided by an infinite
+    # norm to zeros: divide it by its largest magnitude first
+    for row in np.flatnonzero(np.isinf(norms)):
+        scaled = e.data[row] / np.abs(e.data[row]).max()
+        out[row] = scaled / np.linalg.norm(scaled)
+    return EmbeddingSet._certified(out, ids=e.ids, normalized=True, source_rows=e.source_rows)
 
 
 def posterior_variance(selected, q, cfg: KernelConfig) -> float:

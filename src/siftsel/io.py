@@ -17,8 +17,11 @@ Two embedding formats, both storing 32-bit values that are widened to
   EmbeddingIOError naming the path, row, column and value; rows count data
   rows only.
 
-Row ids can also come from a sidecar text file (one id per line). Ids
-default to the row index rendered as a decimal string.
+Row ids can also come from a sidecar text file (one id per line), which
+takes precedence over a CSV id column. A set's ids are None unless the file
+(a CSV id column) or a sidecar names them; EmbeddingSet.id_of and
+write_selection then name row r by its decimal index str(r) in the file,
+through source_rows when the set is a preselected subset.
 
 CSV files and id sidecars must be UTF-8; a byte that is not raises
 EmbeddingIOError naming the path and the byte's offset (CLI exit 2).
@@ -31,13 +34,15 @@ lambda_prime, n, sigma0_sq, sigma_final_sq).
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingSet
+from .core import EmbeddingSet, _check_finite
 from .errors import (
     BadMagic,
     EmbeddingIOError,
@@ -50,6 +55,9 @@ from .selectors import SelectionResult
 MAGIC = b"SIFTEMB1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIII")  # magic, version, count, dim
+# Rows per read of a binary payload: a float32 block of 4096×128 is 2 MB,
+# small enough to check for finiteness while it is in cache.
+_READ_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -89,10 +97,7 @@ def _read_sidecar_ids(ids_path, n: int) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def read_header(path) -> EmbeddingFileHeader:
-    """Parse and validate the binary header without reading the payload."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
+def _parse_header(path, raw: bytes) -> EmbeddingFileHeader:
     if len(raw) < 8 or raw[:8] != MAGIC:
         raise BadMagic(f"{path} does not start with the {MAGIC!r} tag")
     if len(raw) < _HEADER.size:
@@ -103,20 +108,44 @@ def read_header(path) -> EmbeddingFileHeader:
     return EmbeddingFileHeader(magic=magic, version=version, count=count, dim=dim)
 
 
-def _read_binary(path) -> np.ndarray:
-    header = read_header(path)
+def read_header(path) -> EmbeddingFileHeader:
+    """Parse and validate the binary header without reading the payload."""
     with open(path, "rb") as fh:
-        fh.seek(_HEADER.size)
-        payload = fh.read()
-    expected = header.count * header.dim * 4
-    if len(payload) < expected:
-        raise TruncatedPayload(expected, len(payload))
-    if len(payload) > expected:
-        raise EmbeddingIOError(
-            f"{path} carries {len(payload) - expected} trailing bytes beyond the payload"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(header.count, header.dim)
-    return data.astype(np.float64)
+        return _parse_header(path, fh.read(_HEADER.size))
+
+
+def _read_binary(path) -> np.ndarray:
+    """The payload widened to float64, read through one handle in blocks of
+    _READ_BLOCK rows. The payload's size is checked against the header
+    before anything is allocated, and each float32 block is checked for
+    finiteness while it is in cache: a float32 value is finite exactly when
+    its float64 widening is."""
+    with open(path, "rb") as fh:
+        header = _parse_header(path, fh.read(_HEADER.size))
+        count, dim = header.count, header.dim
+        expected = count * dim * 4
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe's size is unknown before it is read
+            raise EmbeddingIOError(f"{path} is not a regular file")
+        actual = st.st_size - _HEADER.size
+        if actual < expected:
+            raise TruncatedPayload(expected, actual)
+        if actual > expected:
+            raise EmbeddingIOError(
+                f"{path} carries {actual - expected} trailing bytes beyond the payload"
+            )
+        data = np.empty((count, dim))
+        if dim == 0:  # no payload to read; the set refuses dimension 0
+            return data
+        buf = np.empty((min(_READ_BLOCK, count), dim), dtype="<f4")
+        for start in range(0, count, _READ_BLOCK):
+            block = buf[:count - start]
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank after fstat
+                raise TruncatedPayload(expected, start * dim * 4 + got)
+            _check_finite(block, first_row=start)
+            data[start:start + len(block)] = block
+    return data
 
 
 # The one CSV value grammar: np.loadtxt's, for the whole file and for the
@@ -178,33 +207,31 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
         _raise_first_bad_row(path, lines, has_ids)
         data = np.empty((len(lines), 0))  # ids alone: EmbeddingSet refuses dimension 0
     # store at 32-bit precision like the binary format, then widen; a value
-    # beyond float32's range becomes inf, which EmbeddingSet refuses
+    # beyond float32's range becomes inf, which is refused like nan and inf
     with np.errstate(over="ignore"):
-        return data.astype("<f4").astype(np.float64), ids
+        data32 = data.astype("<f4")
+    _check_finite(data32)
+    return data32.astype(np.float64), ids
 
 
 def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet:
     """Load an embedding file into an EmbeddingSet (64-bit internally).
 
-    Ids come from the CSV id column or the sidecar when provided, otherwise
-    default to decimal row indices. The values are checked where every
-    EmbeddingSet is: non-finite ones raise NonFiniteValue, and a dimension
-    of 0 raises DimensionMismatch.
+    Ids come from the CSV id column or the sidecar when provided; otherwise
+    the set's ids are None, and id_of and write_selection name row r by
+    str(r). A non-finite value raises NonFiniteValue at its row and column,
+    and a dimension of 0 raises DimensionMismatch. The values are checked
+    here, as they are read, so the set is built without a second pass.
     """
     if format == "binary":
-        data = _read_binary(path)
-        csv_ids = None
+        data, ids = _read_binary(path), None
     elif format == "csv":
-        data, csv_ids = _read_csv(path)
+        data, ids = _read_csv(path)
     else:
         raise EmbeddingIOError(f"unknown format {format!r} (expected 'binary' or 'csv')")
     if ids_path is not None:
         ids = _read_sidecar_ids(ids_path, data.shape[0])
-    elif csv_ids is not None:
-        ids = csv_ids
-    else:
-        ids = tuple(str(i) for i in range(data.shape[0]))
-    return EmbeddingSet(data=data, ids=ids)
+    return EmbeddingSet._certified(data, ids=ids)
 
 
 def write_embeddings(e: EmbeddingSet, path, format: str = "binary", ids_path=None) -> None:

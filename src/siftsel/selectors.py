@@ -323,9 +323,9 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
     top = _top_k(space.data @ qv, k_pre)
     keep = top.tolist()
     prior = space.source_rows
-    return EmbeddingSet(
-        data=space.data[top],
+    return EmbeddingSet._certified(
+        space.data[top],
         ids=None if space.ids is None else tuple(space.ids[i] for i in keep),
         normalized=space.normalized,
-        source_rows=keep if prior is None else tuple(prior[i] for i in keep),
+        source_rows=tuple(keep) if prior is None else tuple(prior[i] for i in keep),
     )

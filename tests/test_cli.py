@@ -111,6 +111,20 @@ class TestSelect:
         ])
         assert [rec["row"] for rec in lines[:-1]] == [0, 2]
 
+    @pytest.mark.parametrize("preselect", [[], ["--preselect-k", "12"]],
+                             ids=["whole-file", "preselected"])
+    def test_binary_without_sidecar_names_rows_by_index(self, tmp_path, capsys, preselect):
+        rng = np.random.default_rng(3)
+        emb, qry = tmp_path / "emb.bin", tmp_path / "qry.bin"
+        write_embeddings(EmbeddingSet(data=rng.standard_normal((40, 4))), emb)
+        write_embeddings(EmbeddingSet(data=rng.standard_normal((1, 4))), qry)
+        lines = run_select_lines(capsys, [
+            "select", str(emb), str(qry), "--n", "6", *preselect,
+        ])
+        records = lines[:-1]
+        assert len(records) == 6 and max(rec["row"] for rec in records) >= 12
+        assert [rec["id"] for rec in records] == [str(rec["row"]) for rec in records]
+
     def test_sidecar_ids_appear_in_output(self, wfiles, tmp_path, capsys):
         emb, qry = wfiles
         sidecar = tmp_path / "names.txt"

@@ -2,6 +2,7 @@
 input boundary."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,10 @@ class TestEmbeddingSet:
         tagged = EmbeddingSet(data=np.eye(2), ids=("x", "y"))
         assert tagged.id_of(1) == "y"
 
+    def test_id_of_a_subset_defaults_to_its_source_row(self):
+        sub = EmbeddingSet(data=np.eye(2), source_rows=(7, 3))
+        assert [sub.id_of(r) for r in range(2)] == ["7", "3"]
+
     def test_normalized_flag_is_validated(self):
         with pytest.raises(ValueError):
             EmbeddingSet(data=np.array([[3.0, 4.0]]), normalized=True)
@@ -63,6 +68,15 @@ class TestInputBoundary:
         e = EmbeddingSet(data=a)
         assert a.flags.writeable
         assert not e.data.flags.writeable
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_later_writes_to_caller_array_do_not_reach_the_set(self, normalized):
+        a = np.eye(2)
+        e = EmbeddingSet(data=a, normalized=normalized)
+        a[0, 0] = np.nan
+        a[1] *= 3.0
+        np.testing.assert_array_equal(e.data, np.eye(2))
+        assert e.normalized is normalized
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
     def test_rejects_zero_columns(self, shape):
@@ -113,6 +127,22 @@ class TestNormalizeRows:
     def test_ids_preserved(self):
         e = EmbeddingSet(data=np.array([[3.0, 4.0]]), ids=("doc",))
         assert normalize_rows(e).ids == ("doc",)
+
+    @pytest.mark.parametrize("big", [1e200, 1.7e308, -np.finfo(np.float64).max])
+    def test_rows_whose_sum_of_squares_overflows_become_unit(self, big):
+        """The float64 norm of such a row is inf; dividing by it would
+        zero the row."""
+        data = np.array([[big, big, 0.0], [1.0, 0.0, 0.0], [big, 1.0, -big / 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = normalize_rows(EmbeddingSet(data=data))
+        assert e.normalized
+        np.testing.assert_allclose(np.linalg.norm(e.data, axis=1), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(e.data[0], np.sign(big) * np.array([1, 1, 0]) / math.sqrt(2),
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(e.data[1], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(e.data[2], np.sign(big) * np.array([1, 0, -0.5]) / 1.25 ** 0.5,
+                                   rtol=1e-15, atol=1e-15)
 
 
 class TestPosteriorVariance:

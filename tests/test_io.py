@@ -2,19 +2,26 @@
 
 import io
 import json
+import os
+import re
 import string
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import siftsel.io
 from conftest import W_DATA
 from siftsel import (
     BadMagic,
+    DimensionMismatch,
     EmbeddingIOError,
     EmbeddingSet,
+    InputError,
     KernelConfig,
     NonFiniteValue,
     NumericalFailure,
@@ -29,6 +36,7 @@ from siftsel import (
     write_embeddings,
     write_selection,
 )
+from siftsel.io import _READ_BLOCK
 
 MAGIC = b"SIFTEMB1"
 
@@ -47,7 +55,8 @@ class TestBinaryFormat:
         back = read_embeddings(p)
         # storage is 32-bit: the round trip equals the float32 cast exactly
         np.testing.assert_array_equal(back.data, data.astype("<f4").astype(np.float64))
-        assert back.ids == tuple(str(i) for i in range(7))
+        assert back.ids is None
+        assert [back.id_of(r) for r in range(back.rows)] == [str(r) for r in range(7)]
         assert back.data.dtype == np.float64
 
     def test_golden_header_bytes(self, tmp_path):
@@ -132,6 +141,112 @@ class TestBinaryFormat:
         assert (exc.value.row, exc.value.col) == (1, 1)
 
 
+B = _READ_BLOCK
+_N_DIM = 3
+_N_ROWS = 2 * B + 3
+# (row, col) of a non-finite value in a _N_ROWS×_N_DIM payload: the first
+# and last rows of each block, the last value of all, and seeded random places
+_BAD_PLACES = [(0, 0), (B - 1, 2), (B, 0), (B, 1), (2 * B, 2), (_N_ROWS - 1, 0),
+               (_N_ROWS - 1, _N_DIM - 1)] + [
+    (int(r), int(c)) for r, c in zip(np.random.default_rng(7).integers(0, _N_ROWS, 6),
+                                     np.random.default_rng(8).integers(0, _N_DIM, 6))]
+
+
+class TestBlockReader:
+    """The binary payload is read, checked and widened _READ_BLOCK rows at
+    a time; the result and the errors are those of reading it whole."""
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_equals_whole_payload_widened(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        # every finite float32 bit pattern is fair, subnormals and -0.0 too
+        values = rng.integers(0, 2**32, size=rows * 5, dtype=np.uint32).view("<f4")
+        values[~np.isfinite(values)] = -0.0
+        payload = values.tobytes()
+        p = tmp_path / "emb.bin"
+        make_binary(p, rows, 5, payload)
+        back = read_embeddings(p)
+        want = np.frombuffer(payload, "<f4").astype(np.float64).reshape(rows, 5)
+        assert back.data.shape == (rows, 5)
+        assert back.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row, col", _BAD_PLACES)
+    def test_first_non_finite_value_is_located(self, tmp_path, bad, row, col):
+        rng = np.random.default_rng(row * _N_DIM + col)
+        data = rng.standard_normal((_N_ROWS, _N_DIM)).astype("<f4")
+        data[row, col] = bad
+        # a later one, in the same block or after it, is not the one named
+        after = row * _N_DIM + col + 1 + int(rng.integers(0, _N_DIM * B))
+        if after < data.size:
+            data.reshape(-1)[after] = np.nan
+        p = tmp_path / "emb.bin"
+        make_binary(p, _N_ROWS, _N_DIM, data.tobytes())
+        with pytest.raises(NonFiniteValue) as exc:
+            read_embeddings(p)
+        assert (exc.value.row, exc.value.col) == (row, col)
+        assert str(exc.value) == f"non-finite value at row {row}, column {col}"
+
+    @pytest.mark.parametrize("count, dim, payload, error, message", [
+        (2, 2, b"\x00" * 12, TruncatedPayload, "payload truncated: expected 16 bytes, found 12"),
+        (1, 2, b"\x00" * 11, EmbeddingIOError, "{p} carries 3 trailing bytes beyond the payload"),
+        (3, 0, b"", DimensionMismatch,
+         "embedding data must be 2-D with at least one column, got shape (3, 0)"),
+        (2**31, 0, b"", DimensionMismatch,
+         "embedding data must be 2-D with at least one column, got shape (2147483648, 0)"),
+        (2**31, 4, b"\x00" * 16, TruncatedPayload,
+         f"payload truncated: expected {2**31 * 16} bytes, found 16"),
+        (2**32 - 1, 2**32 - 1, b"", TruncatedPayload,
+         f"payload truncated: expected {(2**32 - 1) ** 2 * 4} bytes, found 0"),
+    ], ids=["truncated", "trailing", "dim-0", "dim-0-huge-count", "huge-count", "huge-both"])
+    def test_bad_payloads_fail_before_allocating(self, tmp_path, count, dim, payload,
+                                                 error, message):
+        p = tmp_path / "emb.bin"
+        make_binary(p, count, dim, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as exc:
+                read_embeddings(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(p=p)
+        assert peak < 1 << 20
+
+    def test_bad_magic_message(self, tmp_path):
+        p = tmp_path / "emb.bin"
+        make_binary(p, 1, 1, b"\x00" * 4, magic=b"NOTMINE1")
+        with pytest.raises(BadMagic, match=f"^{re.escape(str(p))} does not start with "
+                                           r"the b'SIFTEMB1' tag$"):
+            read_embeddings(p)
+
+    def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
+        """The size is taken from fstat before the payload is read; a file
+        that is then shorter than the header promises is still refused."""
+        p = tmp_path / "emb.bin"
+        make_binary(p, B + 2, 2, b"\x00" * (B + 1) * 8)
+        real = siftsel.io.os.fstat
+        monkeypatch.setattr(siftsel.io.os, "fstat", lambda fd: SimpleNamespace(
+            st_mode=real(fd).st_mode, st_size=real(fd).st_size + 8))
+        with pytest.raises(TruncatedPayload) as exc:
+            read_embeddings(p)
+        assert (exc.value.expected, exc.value.actual) == ((B + 2) * 8, (B + 1) * 8)
+
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_refused_by_name(self):
+        """A pipe has no size to check the header against before reading."""
+        r, w = os.pipe()
+        os.write(w, MAGIC + struct.pack("<III", 1, 1, 1) + b"\x00" * 4)
+        os.close(w)
+        try:
+            with pytest.raises(EmbeddingIOError, match="is not a regular file$"):
+                read_embeddings(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+
 class TestCsvFormat:
     def test_round_trip_with_ids(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -150,7 +265,8 @@ class TestCsvFormat:
         p = tmp_path / "emb.csv"
         write_embeddings(e, p, format="csv")
         back = read_embeddings(p, format="csv")
-        assert back.ids == ("0", "1", "2")
+        assert back.ids is None
+        assert [back.id_of(r) for r in range(back.rows)] == ["0", "1", "2"]
         np.testing.assert_array_equal(
             back.data, np.asarray(W_DATA).astype("<f4").astype(np.float64))
 
@@ -164,7 +280,8 @@ class TestCsvFormat:
         p = tmp_path / "emb.csv"
         p.write_text("1,0\n0,1\n")  # no header: first field is a number
         back = read_embeddings(p, format="csv")
-        assert back.rows == 2 and back.ids == ("0", "1")
+        assert back.rows == 2 and back.ids is None
+        assert [back.id_of(r) for r in range(back.rows)] == ["0", "1"]
 
     def test_ragged_row_reports_index(self, tmp_path):
         p = tmp_path / "emb.csv"
@@ -299,7 +416,9 @@ def test_csv_round_trip_property(tmp_path, case):
     p.write_bytes(text.encode("utf-8"))
     back = read_embeddings(p, format="csv")
     np.testing.assert_array_equal(back.data, data.astype("<f4").astype(np.float64))
-    assert back.ids == (ids if ids is not None else tuple(str(i) for i in range(len(data))))
+    assert back.ids == ids
+    if ids is None:
+        assert [back.id_of(r) for r in range(back.rows)] == [str(r) for r in range(len(data))]
 
 
 class TestSelectionSerialization:
