@@ -36,7 +36,6 @@ from siftsel import (
     write_embeddings,
     write_selection,
 )
-from siftsel.io import _READ_BLOCK
 
 MAGIC = b"SIFTEMB1"
 
@@ -94,7 +93,8 @@ class TestBinaryFormat:
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "emb.bin"
         make_binary(p, 1, 1, b"\x00" * 4, magic=b"NOTMINE1")
-        with pytest.raises(BadMagic):
+        with pytest.raises(BadMagic, match=f"^{re.escape(str(p))} does not start with "
+                                           r"the b'SIFTEMB1' tag$"):
             read_embeddings(p)
 
     def test_file_shorter_than_magic(self, tmp_path):
@@ -141,22 +141,22 @@ class TestBinaryFormat:
         assert (exc.value.row, exc.value.col) == (1, 1)
 
 
-B = _READ_BLOCK
+_B = siftsel.io._READ_BLOCK
 _N_DIM = 3
-_N_ROWS = 2 * B + 3
+_N_ROWS = 2 * _B + 3
 # (row, col) of a non-finite value in a _N_ROWS×_N_DIM payload: the first
 # and last rows of each block, the last value of all, and seeded random places
-_BAD_PLACES = [(0, 0), (B - 1, 2), (B, 0), (B, 1), (2 * B, 2), (_N_ROWS - 1, 0),
+_BAD_PLACES = [(0, 0), (_B - 1, 2), (_B, 0), (_B, 1), (2 * _B, 2), (_N_ROWS - 1, 0),
                (_N_ROWS - 1, _N_DIM - 1)] + [
     (int(r), int(c)) for r, c in zip(np.random.default_rng(7).integers(0, _N_ROWS, 6),
                                      np.random.default_rng(8).integers(0, _N_DIM, 6))]
 
 
 class TestBlockReader:
-    """The binary payload is read, checked and widened _READ_BLOCK rows at
-    a time; the result and the errors are those of reading it whole."""
+    """The binary payload is read, checked and widened _B rows at a time;
+    the result and the errors are those of reading it whole."""
 
-    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
     def test_equals_whole_payload_widened(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         # every finite float32 bit pattern is fair, subnormals and -0.0 too
@@ -177,7 +177,7 @@ class TestBlockReader:
         data = rng.standard_normal((_N_ROWS, _N_DIM)).astype("<f4")
         data[row, col] = bad
         # a later one, in the same block or after it, is not the one named
-        after = row * _N_DIM + col + 1 + int(rng.integers(0, _N_DIM * B))
+        after = row * _N_DIM + col + 1 + int(rng.integers(0, _N_DIM * _B))
         if after < data.size:
             data.reshape(-1)[after] = np.nan
         p = tmp_path / "emb.bin"
@@ -214,25 +214,17 @@ class TestBlockReader:
         assert str(exc.value) == message.format(p=p)
         assert peak < 1 << 20
 
-    def test_bad_magic_message(self, tmp_path):
-        p = tmp_path / "emb.bin"
-        make_binary(p, 1, 1, b"\x00" * 4, magic=b"NOTMINE1")
-        with pytest.raises(BadMagic, match=f"^{re.escape(str(p))} does not start with "
-                                           r"the b'SIFTEMB1' tag$"):
-            read_embeddings(p)
-
     def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
         """The size is taken from fstat before the payload is read; a file
         that is then shorter than the header promises is still refused."""
         p = tmp_path / "emb.bin"
-        make_binary(p, B + 2, 2, b"\x00" * (B + 1) * 8)
+        make_binary(p, _B + 2, 2, b"\x00" * (_B + 1) * 8)
         real = siftsel.io.os.fstat
         monkeypatch.setattr(siftsel.io.os, "fstat", lambda fd: SimpleNamespace(
             st_mode=real(fd).st_mode, st_size=real(fd).st_size + 8))
         with pytest.raises(TruncatedPayload) as exc:
             read_embeddings(p)
-        assert (exc.value.expected, exc.value.actual) == ((B + 2) * 8, (B + 1) * 8)
-
+        assert (exc.value.expected, exc.value.actual) == ((_B + 2) * 8, (_B + 1) * 8)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_refused_by_name(self):
