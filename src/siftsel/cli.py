@@ -1,10 +1,9 @@
 """Command line front end.
 
-Three subcommands:
+Two subcommands:
 
 - select: pick rows for a query and emit the selection as JSON Lines.
 - stats: print diagnostics for an embedding/query pair as a JSON object.
-- bench: time the selection methods against each other.
 
 Exit codes: 0 on success, 2 on input problems (unreadable or malformed
 files, bad parameters), 3 on numerical failure.
@@ -19,12 +18,11 @@ import time
 import numpy as np
 
 from .core import EmbeddingSet, KernelConfig, as_query, normalize_rows
-from .errors import InputError, NumericalFailure, SiftselError, check_param
+from .errors import InputError, NumericalFailure, SiftselError
 from .io import read_embeddings, strict_json, write_selection
 from .selectors import (
     nn_select,
     preselect_candidates,
-    sift_fast_select,
     sift_select,
     uncertainty_sampling_select,
 )
@@ -42,7 +40,7 @@ from .uncertainty import (
     submodularity_probe,
 )
 
-METHODS = ("sift", "sift-fast", "nn", "nn-f", "us")
+METHODS = ("sift", "nn", "nn-f", "us")
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -59,19 +57,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
                    help="regularization added to the kernel (default: 0.01)")
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True, help="unit-normalize rows and query")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized diagnostics (default: 0)")
-
-
-def _add_select_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, default="sift",
-                   help="selection method (default: sift)")
-    p.add_argument("--n", "--n-select", dest="n_select", type=int, default=50,
-                   help="number of rows to select (default: 50)")
-    p.add_argument("--preselect-k", "--preselect", dest="preselect_k",
-                   type=int, default=200,
-                   help="restrict to the top-k rows by query affinity before "
-                        "selecting; 0 disables (default: 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select", help="run a selection and emit JSON Lines")
     _add_io_args(sel)
-    _add_select_args(sel)
+    sel.add_argument("--method", choices=METHODS, default="sift",
+                     help="selection method (default: sift)")
+    sel.add_argument("--n", "--n-select", dest="n_select", type=int, default=50,
+                     help="number of rows to select (default: 50)")
+    sel.add_argument("--preselect-k", "--preselect", dest="preselect_k",
+                     type=int, default=200,
+                     help="restrict to the top-k rows by query affinity before "
+                          "selecting; 0 disables (default: 200)")
     sel.add_argument("--alpha", type=float, default=None,
                      help="enable adaptive stopping with this alpha")
     sel.add_argument("--n-max", type=int, default=None,
@@ -95,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(st)
     st.add_argument("--trials", type=int, default=64,
                     help="submodularity probe trials (default: 64)")
+    st.add_argument("--seed", type=int, default=0,
+                    help="submodularity probe seed (default: 0)")
     st.add_argument("--beta-n", type=int, nargs="*", default=None, metavar="N",
                     help="selection sizes to tabulate confidence widths for")
     st.add_argument("--delta", type=float, default=0.05,
@@ -104,14 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--lipschitz", type=float, default=1.0)
     st.add_argument("--reg-lambda", type=float, default=1.0)
     st.add_argument("--noise-rho", type=float, default=1.0)
-
-    be = sub.add_parser("bench", help="time selection methods")
-    _add_io_args(be)
-    _add_select_args(be)
-    be.add_argument("--methods", nargs="+", choices=METHODS, default=None,
-                    help="methods to time (default: sift sift-fast nn)")
-    be.add_argument("--repeat", type=int, default=3,
-                    help="repetitions per method; best time is reported (default: 3)")
 
     return parser
 
@@ -142,8 +128,6 @@ def _pool(space: EmbeddingSet, q: np.ndarray, preselect_k: int) -> EmbeddingSet:
 def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelConfig):
     if method == "sift":
         return sift_select(pool, q, n_select, cfg)
-    if method == "sift-fast":
-        return sift_fast_select(pool, q, n_select, cfg)
     if method == "nn":
         return nn_select(pool, q, n_select, cfg)
     if method == "nn-f":
@@ -166,12 +150,9 @@ def _cmd_select(args) -> int:
         result = apply_adaptive_stopping(result, policy)
     elapsed = time.perf_counter() - t0
 
-    if args.output is None:
-        write_selection(result, pool.ids, sys.stdout,
-                        source_rows=pool.source_rows)
-    else:
-        write_selection(result, pool.ids, args.output,
-                        source_rows=pool.source_rows)
+    write_selection(result, pool.ids,
+                    sys.stdout if args.output is None else args.output,
+                    source_rows=pool.source_rows)
     eta_sq = irreducible_uncertainty(pool, q)
     print(
         f"{args.method}: selected {len(result.order)}/{pool.rows} rows, "
@@ -228,45 +209,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    space, q = _load_pair(args)
-    cfg = KernelConfig(lambda_prime=args.lambda_prime)
-    check_param("--repeat", args.repeat, ge=1, integer=True)
-    methods = args.methods or ["sift", "sift-fast", "nn"]
-    times: dict[str, float] = {}
-    stable = True
-    for method in methods:
-        best = float("inf")
-        first_order = None
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            pool = _pool(space, q, args.preselect_k)
-            result = _run_method(method, pool, q, args.n_select, cfg)
-            best = min(best, time.perf_counter() - t0)
-            order = tuple(
-                pool.source_rows[r] if pool.source_rows is not None else r
-                for r in result.order
-            )
-            if first_order is None:
-                first_order = order
-            elif order != first_order:
-                stable = False
-        times[method] = best
-        print(f"{method:10s} {best * 1e3:10.2f} ms  "
-              f"(n={args.n_select}, K={space.rows}, repeat={args.repeat})")
-    if "nn" in times:
-        for method in methods:
-            if method in ("nn",):
-                continue
-            print(f"{method}/nn time ratio: {times[method] / times['nn']:.2f}")
-    print(f"selection stable across repetitions: {'yes' if stable else 'no'}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"select": _cmd_select, "stats": _cmd_stats, "bench": _cmd_bench}
+    handlers = {"select": _cmd_select, "stats": _cmd_stats}
     try:
         return handlers[args.command](args)
     except NumericalFailure as exc:

@@ -41,6 +41,10 @@ _ZERO_NORM_CUTOFF = 1e-12
 # Rows per block when normalize_rows sums squares.
 _NORM_BLOCK = 4096
 
+# Diagonal bumps spd_solve tries in turn: a plain Cholesky first, then
+# growing jitter until the factorization succeeds.
+_JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
+
 
 def _check_finite(data: np.ndarray, first_row: int = 0) -> None:
     """Raise NonFiniteValue at the first NaN or infinity of a 2-D array,
@@ -179,22 +183,18 @@ def _as_row_matrix(selected, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def spd_solve(mat: np.ndarray, rhs: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
+def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the symmetric positive-definite system mat @ x = rhs.
 
-    Plain Cholesky first; on failure the diagonal is bumped by `jitter`,
+    Plain Cholesky first; on failure the diagonal is bumped by 1e-10,
     then 1e-8, then 1e-6 before giving up with NumericalFailure. The
     escalation rescues Grams made singular by duplicated rows when the
     caller's regularizer is tiny, while the unperturbed first attempt
     keeps well-posed solves bias-free.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    ladder = [0.0]
-    for j in (jitter, 1e-8, 1e-6):
-        if j > ladder[-1]:
-            ladder.append(j)
     eye = np.eye(mat.shape[0])
-    for j in ladder:
+    for j in _JITTER_LADDER:
         try:
             c, low = scipy.linalg.cho_factor(mat + j * eye, lower=True, check_finite=False)
             return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)

@@ -4,8 +4,7 @@ Four strategies share one result shape:
 
 - sift_select: exact greedy minimization of the query's conditional
   variance; each step picks argmax k²(q,x)/(k(x,x)+λ′) under the current
-  conditional kernel and then conditions on the pick. sift_fast_select is
-  the same selector under its older public name.
+  conditional kernel and then conditions on the pick.
 - nn_select: plain top-scoring retrieval (and its degenerate failure mode
   that returns the single closest row repeatedly).
 - uncertainty_sampling_select: picks whichever candidate's own conditional
@@ -25,7 +24,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
@@ -212,21 +211,6 @@ def sift_select(
         method="sift",
         lambda_prime=lam,
     )
-
-
-def sift_fast_select(
-    candidates: EmbeddingSet,
-    q,
-    n_select: int,
-    cfg: KernelConfig,
-) -> SelectionResult:
-    """sift_select under the name of the retired lazy-greedy path.
-
-    The heap of stale bounds it replaced was slower than the exact kernel,
-    and not the greedy argmax where gains do not diminish. This returns
-    sift_select's picks and traces, labelled "sift-fast".
-    """
-    return replace(sift_select(candidates, q, n_select, cfg), method="sift-fast")
 
 
 def uncertainty_sampling_select(

@@ -1,7 +1,6 @@
 """Command line interface: subcommand contracts, exit codes, determinism."""
 
 import json
-import re
 import struct
 
 import numpy as np
@@ -164,6 +163,33 @@ class TestSelect:
                 "--n", "12", "--preselect-k", "40"]) for i in range(4)]
         assert outputs["csv"] == outputs["binary"]
 
+    def test_layer_functions_are_looked_up_at_call_time(self, wfiles, tmp_path,
+                                                        monkeypatch):
+        """The benchmark traces a CLI run by rebinding these module globals
+        of siftsel.cli; each must still be called through its name."""
+        import siftsel.cli
+
+        emb, qry = wfiles
+        names = ("read_embeddings", "normalize_rows", "preselect_candidates",
+                 "sift_select", "irreducible_uncertainty", "write_selection")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(siftsel.cli, name,
+                                counting(name, getattr(siftsel.cli, name)))
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", emb, qry, "--preselect-k", "2",
+                     "--output", str(out)]) == 0
+        # read_embeddings reads the collection and then the query file
+        assert calls == dict.fromkeys(names, 1) | {"read_embeddings": 2}
+        assert len(out.read_text().splitlines()) == 51  # 50 picks, 1 summary
+
     def test_byte_identical_across_runs(self, wfiles, capsys):
         emb, qry = wfiles
         argv = ["select", emb, qry, "--n", "2", "--lambda", "0.01"]
@@ -273,6 +299,18 @@ class TestExitCodes:
             main(["select", emb, qry, "--method", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "{emb}", "{qry}", "--seed", "1"],
+        ["select", "{emb}", "{qry}", "--method", "sift-fast"],
+        ["bench", "{emb}", "{qry}"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_removed_names_are_argparse_errors(self, wfiles, argv):
+        """--seed belongs to stats alone; sift-fast and bench are gone."""
+        emb, qry = wfiles
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(emb=emb, qry=qry) for a in argv])
+        assert exc.value.code == 2
+
 
 class TestStats:
     def test_basic_diagnostics(self, wfiles, capsys):
@@ -304,6 +342,16 @@ class TestStats:
             assert row["beta_regression"] > 0
             assert row["convergence_bound"] >= 0
 
+    def test_seeded_probe_is_reproducible(self, wfiles, capsys):
+        emb, qry = wfiles
+        argv = ["stats", emb, qry, "--trials", "16", "--seed", "3"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["submodularity_probe"]["trials"] == 16
+
     def test_no_normalize_keeps_raw_scale(self, tmp_path, capsys):
         emb = tmp_path / "e.bin"
         qry = tmp_path / "q.bin"
@@ -312,27 +360,3 @@ class TestStats:
         main(["stats", str(emb), str(qry), "--no-normalize"])
         out = json.loads(capsys.readouterr().out)
         assert out["sigma0_sq"] == pytest.approx(4.0, abs=1e-9)
-
-
-class TestBench:
-    def test_reports_ratio_and_stability(self, wfiles, capsys):
-        emb, qry = wfiles
-        code = main(["bench", emb, qry, "--methods", "sift", "nn",
-                     "--n", "2", "--lambda", "1", "--repeat", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert re.search(r"^sift/nn time ratio: \d+\.\d{2}$", out, re.MULTILINE)
-        assert "selection stable across repetitions: yes" in out
-        assert re.search(r"^sift\s+\d+\.\d{2} ms", out, re.MULTILINE)
-
-    def test_default_methods_include_fast_path(self, wfiles, capsys):
-        emb, qry = wfiles
-        code = main(["bench", emb, qry, "--n", "2", "--lambda", "1",
-                     "--repeat", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sift-fast/nn time ratio:" in out
-
-    def test_bad_repeat_exits_2(self, wfiles):
-        emb, qry = wfiles
-        assert main(["bench", emb, qry, "--n", "1", "--repeat", "0"]) == 2

@@ -222,7 +222,7 @@ class TestSpdSolve:
         # rank-one Gram of duplicated rows; plain Cholesky fails
         mat = np.ones((3, 3))
         rhs = np.ones(3)
-        x = spd_solve(mat, rhs, jitter=1e-10)
+        x = spd_solve(mat, rhs)
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose((mat + 1e-10 * np.eye(3)) @ x, rhs, atol=1e-5)
 

@@ -1,5 +1,5 @@
-"""Selection strategies: exact greedy, its sift-fast alias, NN baselines,
-uncertainty sampling, preselection."""
+"""Selection strategies: exact greedy, NN baselines, uncertainty sampling,
+preselection."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from siftsel import (
     nn_select,
     posterior_variance,
     preselect_candidates,
-    sift_fast_select,
     sift_select,
     submodularity_probe,
     uncertainty_sampling_select,
@@ -82,65 +81,24 @@ class TestSiftSelect:
             sift_select(space, wquery, 0, wcfg)
 
     @pytest.mark.parametrize("select", [
-        sift_select, sift_fast_select, uncertainty_sampling_select, nn_select,
+        sift_select, uncertainty_sampling_select, nn_select,
         lambda *a: nn_select(*a, failure_mode=True),
     ])
     def test_n_select_has_a_ceiling(self, wspace, wquery, wcfg, select):
         with pytest.raises(InvalidParameter, match="n_select must be an integer >= 1 and <= 100000"):
             select(wspace, wquery, MAX_N_SELECT + 1, wcfg)
 
-
-class TestSiftFastSelect:
-    def test_matches_exact_on_worked_instance(self, wspace, wquery, wcfg):
-        exact = sift_select(wspace, wquery, 2, wcfg)
-        fast = sift_fast_select(wspace, wquery, 2, wcfg)
-        assert fast.order == exact.order
-        np.testing.assert_allclose(fast.sigma_trace, exact.sigma_trace, atol=1e-8)
-        assert fast.method == "sift-fast"
-
     def test_single_candidate_is_repeated(self, wcfg):
+        """K=1 < d runs the factored path; each repeat of the only row
+        matches posterior_variance of that many copies."""
         space = EmbeddingSet(data=np.array([[1.0, 0.0]]), normalized=True)
         q = np.array([1.0, 0.0])
-        r = sift_fast_select(space, q, 3, wcfg)
+        r = sift_select(space, q, 3, wcfg)
         assert r.order == (0, 0, 0)
         direct = [1.0] + [
             posterior_variance(space.data[[0] * m], q, wcfg) for m in (1, 2, 3)
         ]
         np.testing.assert_allclose(r.sigma_trace, direct, atol=1e-8)
-
-    def test_matches_exact_wherever_the_probe_passes_at_scale(self):
-        """K=1000, d=32 unit rows: on every seed whose submodularity probe
-        passes, the sift-fast selection is identical to the exact one."""
-        passed_any = False
-        for lam in (0.01, 10.0):
-            cfg = KernelConfig(lambda_prime=lam)
-            for seed in range(4):
-                rng = np.random.default_rng(5000 + seed)
-                X = unit_rows(rng, 1000, 32, nonneg=True)
-                q = unit_vector(rng, 32, nonneg=True)
-                space = EmbeddingSet(data=X, normalized=True)
-                probe = submodularity_probe(space, q, cfg, trials=256, seed=seed)
-                if not probe.passed:
-                    continue
-                passed_any = True
-                exact = sift_select(space, q, 20, cfg)
-                fast = sift_fast_select(space, q, 20, cfg)
-                assert fast.order == exact.order
-                np.testing.assert_allclose(
-                    fast.sigma_trace, exact.sigma_trace, atol=1e-8)
-        assert passed_any, "suite never exercised the fidelity claim"
-
-    def test_duplicate_rows_may_swap_equivalent_picks_but_traces_agree(self):
-        """Exact duplicates tie mathematically; a tie may resolve to a
-        different copy of the same vector, but the variance trace must still
-        match the exact selector."""
-        rows = np.repeat(np.eye(2), 4, axis=0)
-        space = EmbeddingSet(data=rows, normalized=True)
-        q = np.array([2.0, 1.0]) / np.sqrt(5.0)
-        cfg = KernelConfig(lambda_prime=0.1)
-        exact = sift_select(space, q, 5, cfg)
-        fast = sift_fast_select(space, q, 5, cfg)
-        np.testing.assert_allclose(fast.sigma_trace, exact.sigma_trace, atol=1e-8)
 
 
 class TestNnSelect:
@@ -271,14 +229,12 @@ class TestPreselect:
 
 
 class TestSelectionResultInvariants:
-    METHODS = ("sift", "sift-fast", "nn", "nn-f", "us")
+    METHODS = ("sift", "nn", "nn-f", "us")
 
     @staticmethod
     def _run(method, space, q, n, cfg):
         if method == "sift":
             return sift_select(space, q, n, cfg)
-        if method == "sift-fast":
-            return sift_fast_select(space, q, n, cfg)
         if method == "nn":
             return nn_select(space, q, n, cfg)
         if method == "nn-f":
