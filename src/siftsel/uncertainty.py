@@ -130,6 +130,7 @@ def submodularity_probe(
     near-optimality is only guaranteed on inputs that pass.
     """
     check_param("trials", trials, ge=1, integer=True)
+    check_param("seed", seed, ge=0, integer=True)
     qv = as_query(q, candidates.dim)
     rng = np.random.default_rng(seed)
     K = candidates.rows

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import W_DATA
 from siftsel import EmbeddingSet, NumericalFailure, SelectionResult, write_embeddings
+import siftsel.cli
 from siftsel.cli import main
 
 
@@ -167,8 +168,6 @@ class TestSelect:
                                                         monkeypatch):
         """The benchmark traces a CLI run by rebinding these module globals
         of siftsel.cli; each must still be called through its name."""
-        import siftsel.cli
-
         emb, qry = wfiles
         names = ("read_embeddings", "normalize_rows", "preselect_candidates",
                  "sift_select", "irreducible_uncertainty", "write_selection")
@@ -257,6 +256,7 @@ class TestExitCodes:
         )),
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--noise-rho", "nan"],
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--norm-bound", "inf"],
+        ["stats", "{emb}", "{qry}", "--seed", "-1"],
         ["select", "{zero_dim}", "{zero_dim}", "--no-normalize"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_exits_2_with_one_line(self, wfiles, tmp_path, capsys, argv):
