@@ -9,18 +9,24 @@ multiset of observed rows:
 where K_X is the Gram matrix of the observed rows and λ′ > 0 plays the role
 of observation noise. This module provides that quantity in both its kernel
 form and its equivalent feature-space form, row normalization, and total
-variation distance. All arithmetic is 64-bit regardless of on-disk storage.
-EmbeddingSet checks every row it is given. Arrays the package makes itself,
-by reading a file, normalizing or preselecting, are checked as they are made
-and enter a set through EmbeddingSet._certified without a second pass.
+variation distance.
+
+An EmbeddingSet stores its rows in the dtype they arrived in (float32 when
+read from a file) and, once normalized, the float64 norms it divides them
+by; its float64 matrix is built on first use. Every value that ranks, picks
+or is written is computed in 64-bit: float32 arithmetic serves only the
+scan in selectors that discards rows provably outside a top k. EmbeddingSet
+checks every row it is given. Arrays the package makes itself, by reading a
+file, normalizing or preselecting, are checked as they are made and enter a
+set through EmbeddingSet._certified without a second pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -38,7 +44,7 @@ NEGATIVE_VARIANCE_TOL = 1e-9
 
 _ZERO_NORM_CUTOFF = 1e-12
 
-# Rows per block when normalize_rows sums squares.
+# Rows per block when norms are summed and stored rows are widened.
 _NORM_BLOCK = 4096
 
 # Diagonal bumps spd_solve tries in turn: a plain Cholesky first, then
@@ -62,71 +68,139 @@ def _check_columns(data: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
 class EmbeddingSet:
     """An immutable id-tagged matrix of row embeddings.
 
-    data is (n, d) float64, one embedding per row. ids, when present, has
-    exactly n entries. source_rows records the original row index of each
-    row when the set is a subset of a larger space (None means identity).
-    The set keeps a read-only copy of data, so later writes to the
-    caller's array do not reach it; sets the package makes from arrays of
-    its own take those arrays over instead (EmbeddingSet._certified).
+    data is the read-only (n, d) float64 matrix, one embedding per row. ids,
+    when present, has exactly n entries. source_rows records the original
+    row index of each row when the set is a subset of a larger space (None
+    means identity).
+
+    The rows are stored in the dtype they arrived in: float32 as read from
+    a file, float64 from this constructor, which copies the caller's array
+    so later writes to it do not reach the set. A set made by
+    normalize_rows also keeps the float64 row norms it divides by. data is
+    built from the stored rows the first time it is used, as
+    rows.astype(float64) / norms[:, None], and kept; preselect_candidates
+    and nn_select scan the stored rows and never build it.
     """
 
-    data: np.ndarray
-    ids: tuple[str, ...] | None = None
-    normalized: bool = False
-    source_rows: tuple[int, ...] | None = None
+    __slots__ = ("ids", "normalized", "source_rows", "_rows", "_div", "_norms", "_data",
+                 "_reach")
 
-    def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C")
-        _check_columns(data)
-        _check_finite(data)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        if self.ids is not None:
-            ids = tuple(str(i) for i in self.ids)
-            if len(ids) != data.shape[0]:
+    def __init__(self, data, ids=None, normalized: bool = False, source_rows=None):
+        rows = np.array(data, dtype=np.float64, order="C")
+        _check_columns(rows)
+        _check_finite(rows)
+        if ids is not None:
+            ids = tuple(str(i) for i in ids)
+            if len(ids) != rows.shape[0]:
+                raise DimensionMismatch(f"{len(ids)} ids for {rows.shape[0]} rows")
+        if source_rows is not None:
+            source_rows = tuple(int(i) for i in source_rows)
+            if len(source_rows) != rows.shape[0]:
                 raise DimensionMismatch(
-                    f"{len(ids)} ids for {data.shape[0]} rows"
+                    f"{len(source_rows)} source rows for {rows.shape[0]} rows"
                 )
-            object.__setattr__(self, "ids", ids)
-        if self.source_rows is not None:
-            src = tuple(int(i) for i in self.source_rows)
-            if len(src) != data.shape[0]:
-                raise DimensionMismatch(
-                    f"{len(src)} source rows for {data.shape[0]} rows"
-                )
-            object.__setattr__(self, "source_rows", src)
-        if self.normalized and data.shape[0] > 0:
-            norms = np.sqrt(np.einsum("ij,ij->i", data, data))
+        if normalized and rows.shape[0] > 0:
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise InvalidParameter("normalized flag set but some row norm deviates from 1")
+        self._fill(rows, ids, normalized, source_rows, None)
+
+    def _fill(self, rows, ids, normalized, source_rows, div) -> None:
+        rows.flags.writeable = False
+        for name, value in (("ids", ids), ("normalized", normalized),
+                            ("source_rows", source_rows), ("_rows", rows), ("_div", div),
+                            ("_norms", div), ("_data", None), ("_reach", None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _certified(cls, data: np.ndarray, ids=None, normalized: bool = False,
-                   source_rows=None) -> EmbeddingSet:
-        """A set over an (n, d) float64 C-contiguous array that the package
-        has just made and checked: finite, unit rows when `normalized`, and
-        n-entry tuples of str ids and int source rows when given. The set
-        takes the array over and freezes it, without a copy or a second
-        check; only a dimension of 0 is refused."""
-        _check_columns(data)
-        data.flags.writeable = False
+    def _certified(cls, rows: np.ndarray, ids=None, normalized: bool = False,
+                   source_rows=None, div: np.ndarray | None = None) -> EmbeddingSet:
+        """A set over an (n, d) C-contiguous float32 or float64 array that
+        the package has just made and checked: finite, unit rows when
+        `normalized` (rows / div when div is given, div being the rows'
+        float64 norms, each at least 1e-12), and n-entry tuples of str ids
+        and int source rows when given. The set takes the array over and
+        freezes it, without a copy or a second check; only a dimension of 0
+        is refused."""
+        _check_columns(rows)
         e = object.__new__(cls)
-        for name, value in (("data", data), ("ids", ids), ("normalized", normalized),
-                            ("source_rows", source_rows)):
-            object.__setattr__(e, name, value)
+        e._fill(rows, ids, normalized, source_rows, div)
         return e
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"EmbeddingSet(rows={self.rows}, dim={self.dim}, stored={self._rows.dtype}, "
+                f"normalized={self.normalized})")
+
+    def __reduce__(self):
+        return (EmbeddingSet._certified,
+                (self._rows, self.ids, self.normalized, self.source_rows, self._div))
+
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only (n, d) float64 matrix, built on first use."""
+        if self._data is None:
+            if self._div is None and self._rows.dtype == np.float64:
+                data = self._rows
+            else:
+                data = np.empty(self._rows.shape)
+                for start in range(0, self.rows, _NORM_BLOCK):
+                    block = slice(start, start + _NORM_BLOCK)
+                    data[block] = self._widen(self._rows[block], self._div, block)
+                data.flags.writeable = False
+            object.__setattr__(self, "_data", data)
+        return self._data
+
+    @staticmethod
+    def _widen(rows: np.ndarray, div, which) -> np.ndarray:
+        """Stored rows as the float64 rows of data: the same bytes as
+        data[which], elementwise."""
+        rows = rows.astype(np.float64)
+        return rows if div is None else rows / div[which, None]
+
+    def _take(self, idx) -> np.ndarray:
+        """data[idx] for an index array, without building data."""
+        if self._data is not None:
+            return self._data[idx]
+        return self._widen(self._rows[idx], self._div, idx)
+
+    def _row_norms(self) -> np.ndarray:
+        """The float64 norms of the stored rows (before any division),
+        computed once and kept."""
+        if self._norms is None:
+            object.__setattr__(self, "_norms", _sum_sq_norms(self._rows))
+        return self._norms
+
+    def _norm_reach(self) -> tuple[float, float, float]:
+        """(a, reach, inv_div), computed once and kept: with n_i the computed
+        norm of stored row i, (n_i + a)(1 + 2γ_{d+2}) bounds its exact norm;
+        reach·(1 + 2γ_{d+2}) bounds every row's exact norm over its divisor,
+        and inv_div every reciprocal divisor (1 without divisors)."""
+        if self._reach is None:
+            a = math.sqrt(self.dim) * 2.0 ** -537  # √(d × the smallest float64 subnormal)
+            if self._div is None:
+                reach = (float(self._row_norms().max()) if self.rows else 0.0) + a, 1.0
+            else:
+                inv = (1 + 2.0 ** -52) / float(self._div.min())
+                reach = 1 + a * inv, inv
+            object.__setattr__(self, "_reach", (a, *reach))
+        return self._reach
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self._rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.data.shape[1]
+        return self._rows.shape[1]
 
     def id_of(self, row: int) -> str:
         """The string id of a row, defaulting to its decimal index in the
@@ -192,6 +266,10 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     caller's regularizer is tiny, while the unperturbed first attempt
     keeps well-posed solves bias-free.
     """
+    # imported here, not with the module: scipy.linalg is most of the time
+    # `import siftsel.cli` takes, and a default select never solves
+    import scipy.linalg
+
     mat = np.asarray(mat, dtype=np.float64)
     eye = np.eye(mat.shape[0])
     for j in _JITTER_LADDER:
@@ -212,33 +290,47 @@ def _clamp_variance(value: float, context: str) -> float:
     return max(value, 0.0)
 
 
+def _sum_sq_norms(rows: np.ndarray) -> np.ndarray:
+    """The float64 Euclidean norm of each row, by np.linalg.norm(axis=1)'s
+    own sum of squares taken a block of rows at a time: each row is reduced
+    alone, so the norms are the same bytes, without a squared copy of the
+    whole matrix (25 ms against 61 ms at 100k×128 on two cores). A sum of
+    squares that overflows float64 gives an infinite norm."""
+    norms = np.empty(rows.shape[0])
+    with np.errstate(over="ignore"):
+        for start in range(0, rows.shape[0], _NORM_BLOCK):
+            block = rows[start:start + _NORM_BLOCK].astype(np.float64)
+            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start:start + _NORM_BLOCK])
+    return norms
+
+
 def normalize_rows(e: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit Euclidean norm, preserving ids.
 
     Raises ZeroNormRow for any row with norm below 1e-12 — a silent drop
-    would hide upstream embedding bugs. A row whose sum of squares
-    overflows float64 is divided by its largest magnitude first. The norms
-    are computed once: finite rows divided by norms of at least 1e-12 are
-    finite and unit by construction, so the result skips the finiteness
-    and normalized checks of them.
+    would hide upstream embedding bugs. The result keeps e's stored rows
+    and the norms it divides them by; its data, rows / norms, is built
+    only when something uses it. A row whose sum of squares overflows
+    float64 (only float64 rows can) is divided by its largest magnitude
+    first, and such a set is built divided at once.
     """
-    # np.linalg.norm(axis=1)'s own sum of squares, a block of rows at a
-    # time: each row is reduced alone, so the norms are the same bytes,
-    # without a squared copy of the whole matrix (25 ms against 61 ms at
-    # 100k×128 on two cores)
-    norms = np.empty(e.rows)
-    with np.errstate(over="ignore"):
-        for start in range(0, e.rows, _NORM_BLOCK):
-            block = e.data[start:start + _NORM_BLOCK]
-            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start:start + _NORM_BLOCK])
+    if e._div is None:
+        rows, norms = e._rows, e._row_norms()
+    else:  # already divided once: divide its data again, as a float64 set
+        rows = e.data
+        norms = _sum_sq_norms(rows)
     bad = np.flatnonzero(norms < _ZERO_NORM_CUTOFF)
     if bad.size:
         raise ZeroNormRow(int(bad[0]))
-    out = e.data / norms[:, None]
+    huge = np.flatnonzero(np.isinf(norms))
+    if not huge.size:
+        return EmbeddingSet._certified(rows, ids=e.ids, normalized=True,
+                                       source_rows=e.source_rows, div=norms)
+    out = rows / norms[:, None]
     # a finite row whose sum of squares overflowed divided by an infinite
     # norm to zeros: divide it by its largest magnitude first
-    for row in np.flatnonzero(np.isinf(norms)):
-        scaled = e.data[row] / np.abs(e.data[row]).max()
+    for row in huge:
+        scaled = rows[row] / np.abs(rows[row]).max()
         out[row] = scaled / np.linalg.norm(scaled)
     return EmbeddingSet._certified(out, ids=e.ids, normalized=True, source_rows=e.source_rows)
 

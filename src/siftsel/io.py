@@ -1,7 +1,9 @@
 """Embedding file ingestion and selection-result serialization.
 
-Two embedding formats, both storing 32-bit values that are widened to
-64-bit on load:
+Two embedding formats, both storing 32-bit values. A set read from either
+keeps those float32 rows as they are; its read-only float64 data is built
+from them the first time it is used, and every score that ranks, picks or
+is written is computed in 64-bit:
 
 - binary: 8-byte magic "SIFTEMB1", then three little-endian u32 fields
   (version=1, row count n, dimension d), then n·d IEEE-754 float32
@@ -115,11 +117,11 @@ def read_header(path) -> EmbeddingFileHeader:
 
 
 def _read_binary(path) -> np.ndarray:
-    """The payload widened to float64, read through one handle in blocks of
-    _READ_BLOCK rows. The payload's size is checked against the header
-    before anything is allocated, and each float32 block is checked for
-    finiteness while it is in cache: a float32 value is finite exactly when
-    its float64 widening is."""
+    """The float32 payload, read through one handle in blocks of
+    _READ_BLOCK rows straight into the array that is returned. The
+    payload's size is checked against the header before anything is
+    allocated, and each block is checked for finiteness while it is in
+    cache."""
     with open(path, "rb") as fh:
         header = _parse_header(path, fh.read(_HEADER.size))
         count, dim = header.count, header.dim
@@ -134,17 +136,15 @@ def _read_binary(path) -> np.ndarray:
             raise EmbeddingIOError(
                 f"{path} carries {actual - expected} trailing bytes beyond the payload"
             )
-        data = np.empty((count, dim))
+        data = np.empty((count, dim), dtype="<f4")
         if dim == 0:  # no payload to read; the set refuses dimension 0
             return data
-        buf = np.empty((min(_READ_BLOCK, count), dim), dtype="<f4")
         for start in range(0, count, _READ_BLOCK):
-            block = buf[:count - start]
+            block = data[start:start + _READ_BLOCK]
             got = fh.readinto(block)
             if got != block.nbytes:  # the file shrank after fstat
                 raise TruncatedPayload(expected, start * dim * 4 + got)
             _check_finite(block, first_row=start)
-            data[start:start + len(block)] = block
     return data
 
 
@@ -206,16 +206,17 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     except ValueError:
         _raise_first_bad_row(path, lines, has_ids)
         data = np.empty((len(lines), 0))  # ids alone: EmbeddingSet refuses dimension 0
-    # store at 32-bit precision like the binary format, then widen; a value
-    # beyond float32's range becomes inf, which is refused like nan and inf
+    # store at 32-bit precision like the binary format; a value beyond
+    # float32's range becomes inf, which is refused like nan and inf
     with np.errstate(over="ignore"):
         data32 = data.astype("<f4")
     _check_finite(data32)
-    return data32.astype(np.float64), ids
+    return data32, ids
 
 
 def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet:
-    """Load an embedding file into an EmbeddingSet (64-bit internally).
+    """Load an embedding file into an EmbeddingSet that stores its float32
+    rows; the set's float64 data is built from them when first used.
 
     Ids come from the CSV id column or the sidecar when provided; otherwise
     the set's ids are None, and id_of and write_selection name row r by

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpstrf
 
 from .core import (
     NEGATIVE_VARIANCE_TOL,
@@ -48,6 +46,13 @@ _FOLD_EVERY = 64
 # candidates whatever the number of picks, so an unbounded count runs for
 # as long as it is told to: 100,000 picks from a 200-row pool take seconds.
 MAX_N_SELECT = 100_000
+
+# Float64 unit roundoff and smallest subnormal, for the scan's error bound.
+_U64 = 2.0 ** -53
+_TINY64 = 2.0 ** -1074
+
+# Rows per block when the rows kept by a scan are rebuilt in float64.
+_RESCORE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,94 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return head[np.argsort(neg[head], kind="stable")[:k]]
 
 
+def _gamma(n: int, u: float) -> float:
+    """Higham's γ_n = n·u/(1 − n·u), infinite once n·u ≥ 1."""
+    return n * u / (1 - n * u) if n * u < 1 else math.inf
+
+
+def _norm(v: np.ndarray) -> float:
+    """‖v‖ in float64, scaled by max|v| so that no square underflows or
+    overflows; within a factor 1 + γ_{n+3} of the exact norm."""
+    m = float(np.abs(v).max()) if v.size else 0.0
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    w = v / m
+    return m * math.sqrt(float(w @ w))
+
+
+def _rescore(rows: np.ndarray, qv: np.ndarray) -> np.ndarray:
+    """The float64 score of each row, by one fixed routine whose result for
+    a row does not depend on the other rows. A BLAS GEMV does not have that
+    property: over a subset of rows, OpenBLAS's is not byte-equal to the
+    matching entries of the full product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduce(rows * qv, axis=1)
+
+
+def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k rows of a stable argsort of −_rescore(space.data, qv),
+    and their scores, from one scan of the stored rows.
+
+    1. Scan: t = x·q̃ for every stored row x, in the storage dtype (an
+       SGEMV for float32 rows), with q̃ the query rounded to that dtype;
+       ŝ = t / div in float64, div being the row's norm when the set
+       stores unnormalized rows with their norms, else 1.
+    2. Filter: ŝ lies within E_i of the row's exact rescored score r_i,
+       so every row with r_i at least the k-th largest r has
+       ŝ_i + E_i ≥ the k-th largest ŝ − E; only rows below that are
+       dropped. Rows with a non-finite ŝ are always kept.
+    3. Rebuild the kept rows in float64, a block at a time.
+    4. Rescore them with _rescore and take _top_k, which keeps ties in
+       index order, as the full stable sort does.
+
+    The bound, from Higham (Accuracy and Stability of Numerical
+    Algorithms, §3.1): a length-d dot product in unit roundoff u errs by at
+    most γ_d·|x|ᵀ|y| in any summation order, and each product that
+    underflows adds at most the dtype's smallest subnormal. With
+    ‖x‖ ≥ |x|ᵀ|y|/‖y‖ and g = γ_{d+2} in float64,
+        |t − x·q| ≤ ‖x‖(γ_d‖q̃‖ + ‖q − q̃‖) + 2d·tiny     (scan, rounded query)
+        |r − x·q/div| ≤ g·‖x‖‖q‖/div + 4d·tiny₆₄(1 + ‖q‖) (rebuild and rescore)
+    and the division and the two comparisons each round by at most
+    u₆₄|ŝ|. E_i sums these with ‖x‖ replaced by an upper bound from the
+    computed float64 norm, and every factor grows by (1 + 2g)² to cover
+    the float64 evaluation of the norms and of E itself. For float64
+    rows q̃ = q and the same bound holds with u = 2⁻⁵³. A rescored score
+    that could overflow float64 keeps every row.
+    """
+    rows, div = space._rows, space._div
+    d = space.dim
+    fin = np.finfo(rows.dtype)
+    u, tiny = float(fin.eps) / 2, float(fin.smallest_subnormal)
+    g, gd = _gamma(d + 2, _U64), _gamma(d, u)
+    grow = (1 + 2 * g) ** 2
+    under, reach, inv_div = space._norm_reach()
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = qv.astype(rows.dtype)
+        t = rows @ qs
+        s = np.asarray(t, dtype=np.float64) if div is None else t / div
+        qs64 = qs.astype(np.float64)
+        qn, qsn, dq = _norm(qv), _norm(qs64), _norm(qv - qs64)
+        # E per unit of the bound on ‖x‖/div, then the underflow terms
+        c1 = grow * (gd * qsn + dq + g * qn + 3 * _U64 * (1 + gd) * qsn)
+        E = c1 * reach if div is not None else space._row_norms() * c1 + c1 * under
+        E = E + grow * (2 * d * tiny * inv_div + 4 * d * _TINY64 * (1 + qn))
+        if not reach * qn * grow < np.finfo(np.float64).max / 4:
+            keep = np.arange(space.rows)
+        else:
+            lo = s - E
+            bad = ~np.isfinite(s)
+            if bad.any():
+                lo[bad] = -np.inf
+            kth = -np.partition(-lo, k - 1)[k - 1]
+            keep = np.flatnonzero(~(s + E < kth) | bad)
+    scores = np.empty(keep.size)
+    for start in range(0, keep.size, _RESCORE_BLOCK):
+        idx = keep[start:start + _RESCORE_BLOCK]
+        scores[start:start + idx.size] = _rescore(space._take(idx), qv)
+    top = _top_k(scores, k)
+    return keep[top], scores[top]
+
+
 def _candidate_factor(X: np.ndarray) -> np.ndarray:
     """A K×r matrix Z with ZZᵀ = XXᵀ and r ≤ min(K, d).
 
@@ -111,6 +204,11 @@ def _candidate_factor(X: np.ndarray) -> np.ndarray:
     K, d = X.shape
     if K >= d:
         return X
+    # imported here, not with the module: scipy.linalg is most of the time
+    # `import siftsel.cli` takes, and only this branch uses it
+    from scipy.linalg.blas import dsyrk
+    from scipy.linalg.lapack import dpstrf
+
     c, piv, rank, _ = dpstrf(dsyrk(1.0, X.T, trans=1), overwrite_a=1)
     Z = np.empty((K, rank))
     Z[piv - 1] = np.triu(c[:rank]).T
@@ -260,26 +358,27 @@ def nn_select(
     the baselines are comparable on the same axis.
     """
     qv = _validate_inputs(candidates, q, n_select)
-    scores = candidates.data @ qv
     if failure_mode:
-        top = int(np.argmax(scores))
-        order = [top] * n_select
+        top, scores = _ranked(candidates, qv, 1)
+        order = [int(top[0])] * n_select
     else:
         if n_select > candidates.rows:
             raise NotEnoughCandidates(
                 f"{n_select} distinct rows requested, only {candidates.rows} exist"
             )
-        order = [int(i) for i in _top_k(scores, n_select)]
+        top, scores = _ranked(candidates, qv, n_select)
+        order = top.tolist()
+    score = dict(zip(top.tolist(), scores.tolist()))
 
     # σ² depends on the picked rows alone, so only they are conditioned on
     rows = list(dict.fromkeys(order))
     slot = {row: i for i, row in enumerate(rows)}
 
     def pick(step, kq, diag):
-        return slot[order[step]], float(scores[order[step]])
+        return slot[order[step]], score[order[step]]
 
     _, objective_trace, sigma_trace = _greedy_kernel(
-        candidates.data[rows], qv, n_select, cfg.lambda_prime, pick)
+        candidates._take(rows), qv, n_select, cfg.lambda_prime, pick)
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),
@@ -304,11 +403,11 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         raise NotEnoughCandidates(
             f"preselection of {k_pre} rows from a space of {space.rows}"
         )
-    top = _top_k(space.data @ qv, k_pre)
+    top, _ = _ranked(space, qv, k_pre)
     keep = top.tolist()
     prior = space.source_rows
     return EmbeddingSet._certified(
-        space.data[top],
+        space._take(top),
         ids=None if space.ids is None else tuple(space.ids[i] for i in keep),
         normalized=space.normalized,
         source_rows=tuple(keep) if prior is None else tuple(prior[i] for i in keep),

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .core import EmbeddingSet, KernelConfig, _as_row_matrix, as_query, posterior_variance
 from .errors import DegenerateVariance, InvalidParameter, check_param
@@ -205,6 +204,10 @@ def data_space_lambda_min(space: EmbeddingSet) -> float:
     """
     if space.rows == 0:
         raise InvalidParameter("space must be non-empty")
+    # imported here, not with the module: scipy.linalg is most of the time
+    # `import siftsel.cli` takes, and a default select never needs it
+    import scipy.linalg
+
     _, r_mat, piv = scipy.linalg.qr(space.data.T, pivoting=True, mode="economic")
     diag = np.abs(np.diag(r_mat))
     if diag.size == 0 or diag[0] <= 0:

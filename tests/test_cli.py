@@ -1,7 +1,11 @@
 """Command line interface: subcommand contracts, exit codes, determinism."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +364,27 @@ class TestStats:
         main(["stats", str(emb), str(qry), "--no-normalize"])
         out = json.loads(capsys.readouterr().out)
         assert out["sigma0_sq"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_import_and_a_default_select_leave_scipy_unloaded(tmp_path):
+    """SciPy is imported by the functions that use it, not with the package:
+    importing siftsel.cli and a default select on a pool with at least as
+    many rows as dimensions never need it."""
+    rng = np.random.default_rng(0)
+    emb, qry, out = tmp_path / "e.bin", tmp_path / "q.bin", tmp_path / "out.jsonl"
+    write_embeddings(EmbeddingSet(data=rng.normal(size=(300, 8))), emb)
+    write_embeddings(EmbeddingSet(data=rng.normal(size=(1, 8))), qry)
+    code = (
+        "import sys\n"
+        "import siftsel.cli\n"
+        "loaded = 'scipy' in sys.modules\n"
+        f"rc = siftsel.cli.main(['select', {str(emb)!r}, {str(qry)!r}, '--output', {str(out)!r}])\n"
+        "print(loaded, rc, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(siftsel.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]
+    assert len(out.read_text().splitlines()) == 51

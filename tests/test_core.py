@@ -2,6 +2,7 @@
 input boundary."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -35,6 +36,19 @@ class TestEmbeddingSet:
         assert not wspace.data.flags.writeable
         with pytest.raises(ValueError):
             wspace.data[0, 0] = 2.0
+
+    def test_fields_cannot_be_assigned(self, wspace):
+        with pytest.raises(AttributeError):
+            wspace.ids = ("a", "b", "c")
+        with pytest.raises(AttributeError):
+            wspace.data = np.eye(3)
+
+    def test_pickles_with_its_stored_rows(self):
+        rows = np.random.default_rng(0).normal(size=(4, 3)).astype(np.float32)
+        e = normalize_rows(EmbeddingSet._certified(rows, ids=tuple("abcd")))
+        back = pickle.loads(pickle.dumps(e))
+        assert back._rows.dtype == np.float32 and back.ids == e.ids and back.normalized
+        assert back.data.tobytes() == e.data.tobytes()
 
     def test_ids_length_must_match(self):
         with pytest.raises(DimensionMismatch):

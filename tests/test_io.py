@@ -28,6 +28,8 @@ from siftsel import (
     RaggedRow,
     SelectionResult,
     TruncatedPayload,
+    nn_select,
+    normalize_rows,
     preselect_candidates,
     read_embeddings,
     read_header,
@@ -487,3 +489,66 @@ class TestFormatsRoundTripThroughEachOther:
         from_csv = read_embeddings(pc, format="csv")
         np.testing.assert_array_equal(from_bin.data, from_csv.data)
         assert from_csv.ids == e.ids
+
+
+class TestStoredRows:
+    """A set read from a file stores its float32 rows, and a normalized one
+    the float64 norms it divides them by. Its float64 data is built the
+    first time it is used and is the matrix a reader that widens on load
+    and then divides by NumPy's row norms would make."""
+
+    @staticmethod
+    def widened(raw32: np.ndarray, normalize: bool) -> np.ndarray:
+        x = raw32.astype(np.float64)
+        return x / np.linalg.norm(x, axis=1)[:, None] if normalize else x
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_data_is_the_widened_rows_byte_for_byte(self, tmp_path, fmt, normalize):
+        rng = np.random.default_rng(11)
+        rows = 2 * _B + 7
+        raw = (rng.normal(size=(rows, 9)) * rng.uniform(1e-3, 1e3, size=(rows, 1))).astype("<f4")
+        p = tmp_path / f"e.{fmt}"
+        write_embeddings(EmbeddingSet(data=raw), p, format=fmt)
+        e = read_embeddings(p, format=fmt)
+        if normalize:
+            e = normalize_rows(e)
+        assert e._rows.dtype == np.float32 and e._data is None
+        assert e.data.dtype == np.float64
+        assert e.data.tobytes() == self.widened(raw, normalize).tobytes()
+        assert e.data is e.data  # built once
+
+    def test_data_is_read_only(self, tmp_path):
+        p = tmp_path / "e.bin"
+        write_embeddings(EmbeddingSet(data=W_DATA), p)
+        for e in (read_embeddings(p), normalize_rows(read_embeddings(p))):
+            assert not e.data.flags.writeable
+            with pytest.raises(ValueError):
+                e.data[0, 0] = 2.0
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_scans_never_build_the_float64_matrix(self, tmp_path, normalize):
+        """preselect_candidates and nn_select scan the stored float32 rows:
+        on 50k rows they allocate less than the rows themselves take."""
+        K, d = 50_000, 32
+        rng = np.random.default_rng(12)
+        p = tmp_path / "e.bin"
+        make_binary(p, K, d, rng.normal(size=(K, d)).astype("<f4").tobytes())
+        e = read_embeddings(p)
+        if normalize:
+            e = normalize_rows(e)
+        q = rng.normal(size=d)
+        # σ traces over fewer rows than dimensions factor them with SciPy;
+        # its import is not the scan's memory
+        import scipy.linalg  # noqa: F401
+        tracemalloc.start()
+        try:
+            pool = preselect_candidates(e, q, 200)
+            nn_select(e, q, 20, KernelConfig())
+            nn_select(e, q, 5, KernelConfig(), failure_mode=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e._data is None
+        assert peak < K * d * 4
+        assert pool.rows == 200

@@ -15,13 +15,14 @@ from siftsel import (
     SelectionResult,
     marginal_gain,
     nn_select,
+    normalize_rows,
     posterior_variance,
     preselect_candidates,
     sift_select,
     submodularity_probe,
     uncertainty_sampling_select,
 )
-from siftsel.selectors import MAX_N_SELECT
+from siftsel.selectors import MAX_N_SELECT, _rescore
 
 
 def nonneg_instance(seed, K, d, lam=0.01):
@@ -202,24 +203,36 @@ class TestPreselect:
             np.testing.assert_array_equal(sub.data, data[ranked[:k]])
 
     def test_provenance_composes_through_nested_preselection(self, wquery):
-        """Both levels keep the rows a full stable sort keeps. The tied space
-        repeats four dyadic rows (exact scores) so the 10th and 3rd scores
-        fall inside groups of equal rows, where the smallest indices win."""
+        """Both levels keep the rows a full stable sort by the one rescoring
+        routine keeps, and nn_select picks them in that order, with rows
+        stored in float64 or, as a file reader stores them, in float32. The
+        tied spaces repeat four dyadic rows (exact scores) so the 10th and
+        3rd scores fall inside groups of equal rows, where the smallest
+        indices win."""
         rng = np.random.default_rng(9)
-        distinct = EmbeddingSet(data=unit_rows(rng, 50, 2), normalized=True)
+        distinct = unit_rows(rng, 50, 2)
         dyadic = np.array([[1.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.0, 1.0]])
-        tied = EmbeddingSet(data=dyadic[rng.integers(0, 4, size=50)])
-        for space in (distinct, tied):
+        tied = dyadic[rng.integers(0, 4, size=50)]
+        spaces = {
+            "distinct": EmbeddingSet(data=distinct, normalized=True),
+            "tied": EmbeddingSet(data=tied),
+            "distinct f32": EmbeddingSet._certified(distinct.astype(np.float32)),
+            "tied f32": EmbeddingSet._certified(tied.astype(np.float32)),
+            "tied f32 normalized": normalize_rows(EmbeddingSet._certified(tied.astype(np.float32))),
+        }
+        for name, space in spaces.items():
             first = preselect_candidates(space, wquery, 10)
             second = preselect_candidates(first, wquery, 3)
-            scores = space.data @ wquery
+            nn = nn_select(space, wquery, 10, KernelConfig())
+            scores = _rescore(space.data, wquery)
             ranked = np.argsort(-scores, kind="stable")
             np.testing.assert_array_equal(first.source_rows, ranked[:10])
             np.testing.assert_array_equal(second.source_rows, ranked[:3])
-            assert nn_select(space, wquery, 10, KernelConfig()).order == tuple(ranked[:10])
-        # the tied space really does tie across both cut points
-        assert scores[ranked[9]] == scores[ranked[10]]
-        assert scores[ranked[2]] == scores[ranked[3]]
+            assert nn.order == tuple(ranked[:10])
+            assert nn.objective_trace == tuple(scores[ranked[:10]])
+            if name.startswith("tied"):  # it really does tie across both cut points
+                assert scores[ranked[9]] == scores[ranked[10]]
+                assert scores[ranked[2]] == scores[ranked[3]]
 
     def test_errors(self, wspace, wquery):
         with pytest.raises(NotEnoughCandidates):
