@@ -97,14 +97,18 @@ def test_picks_equal_a_full_stable_argsort_of_the_rescoring(family, dtype, norma
     k = 1 + int(frac * (K - 1))
     space = _space(x, normalized)
     pool = preselect_candidates(space, q, k)
-    distinct = nn_select(space, q, k, KernelConfig()) if normalized else None
-    failure = nn_select(space, q, 3, KernelConfig(), failure_mode=True) if normalized else None
+    # nn_select's σ trace runs the greedy kernel, whose round-off tolerance
+    # is absolute: on unnormalized rows far from unit size it raises
+    # NumericalFailure, so nn_select is held to the oracle on the rest
+    nn = normalized or family in ("duplicates", "near_ties")
+    distinct = nn_select(space, q, k, KernelConfig()) if nn else None
+    failure = nn_select(space, q, 3, KernelConfig(), failure_mode=True) if nn else None
     assert space._data is None  # the scan never builds the float64 matrix
 
     ranked, scores = _reference(_space(x, normalized), q)
     np.testing.assert_array_equal(pool.source_rows, ranked[:k])
     assert pool.data.tobytes() == space.data[ranked[:k]].tobytes()
-    if normalized:  # the σ trace of unnormalized extremes may fail; the ranking is above
+    if nn:
         assert distinct.order == tuple(ranked[:k])
         assert distinct.objective_trace == tuple(scores[ranked[:k]])
         assert failure.order == (ranked[0],) * 3
