@@ -40,6 +40,7 @@ from .errors import (
 
 # Negative variances within this band are round-off and clamped to zero;
 # anything more negative is treated as a logic error (NumericalFailure).
+# A caller whose variances are larger than 1 scales the band by their size.
 NEGATIVE_VARIANCE_TOL = 1e-9
 
 _ZERO_NORM_CUTOFF = 1e-12
@@ -82,11 +83,14 @@ class EmbeddingSet:
     normalize_rows also keeps the float64 row norms it divides by. data is
     built from the stored rows the first time it is used, as
     rows.astype(float64) / norms[:, None], and kept; preselect_candidates
-    and nn_select scan the stored rows and never build it.
+    and nn_select scan the stored rows and never build it. The row space
+    that irreducible_uncertainty finds is kept in _span the same way. A
+    pickled set carries its rows and divisors, none of the values computed
+    from them.
     """
 
     __slots__ = ("ids", "normalized", "source_rows", "_rows", "_div", "_norms", "_data",
-                 "_reach")
+                 "_reach", "_span")
 
     def __init__(self, data, ids=None, normalized: bool = False, source_rows=None):
         rows = np.array(data, dtype=np.float64, order="C")
@@ -112,7 +116,8 @@ class EmbeddingSet:
         rows.flags.writeable = False
         for name, value in (("ids", ids), ("normalized", normalized),
                             ("source_rows", source_rows), ("_rows", rows), ("_div", div),
-                            ("_norms", div), ("_data", None), ("_reach", None)):
+                            ("_norms", div), ("_data", None), ("_reach", None),
+                            ("_span", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -283,9 +288,11 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
 
 
-def _clamp_variance(value: float, context: str) -> float:
-    """Clamp round-off negatives to 0; raise on negatives beyond tolerance."""
-    if value < -NEGATIVE_VARIANCE_TOL:
+def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
+    """Clamp round-off negatives to 0; raise on negatives beyond tolerance,
+    NEGATIVE_VARIANCE_TOL times `scale` (the size of the variances the
+    value was computed from) when that exceeds 1."""
+    if value < -NEGATIVE_VARIANCE_TOL * max(scale, 1.0):
         raise NumericalFailure(f"{context} is negative beyond round-off: {value!r}")
     return max(value, 0.0)
 

@@ -18,7 +18,8 @@ same way. Repeated selection of the same row is always permitted for the
 variance based strategies — observing a row twice is informative under
 noise — while nearest-neighbor distinct mode excludes prior picks. Ties are
 broken by the smallest row index everywhere, which keeps every strategy
-deterministic.
+deterministic; for the variance based strategies that includes rows equal
+to the pick whose computed scores differ from its score by rounding.
 """
 
 from __future__ import annotations
@@ -53,6 +54,29 @@ _TINY64 = 2.0 ** -1074
 
 # Rows per block when the rows kept by a scan are rebuilt in float64.
 _RESCORE_BLOCK = 4096
+
+# Below this many multiply-adds (K·r) a GEMV costs no more than the few
+# small products that build a column from kept ones. On one core of a
+# 2-vCPU VM, at 200×128 both took about 4 µs; at 500×128 the GEMV took
+# 11 µs and three kept columns 4 µs.
+_RING_MIN_WORK = 2 ** 16
+
+# A repeat pick's column is built from the kept columns only while its
+# denominator k(p,p)+λ′ is at least this fraction of the largest starting
+# diagonal. That column is a difference of terms as large as the starting
+# diagonal, so its rounding, next to the GEMV's, grows as the ratio
+# shrinks. Without the floor, on near-duplicate pools at λ′ = 1e-12, the
+# diagonals went negative in 2 of 100 runs; with it, σ² stayed as close to
+# posterior_variance as with the GEMV alone at every λ′ tried (1e-12 to 1).
+_RING_DEN_FLOOR = 2.0 ** -20
+
+# How far rounding may move the conditional diagonals of two equal rows
+# apart, as a fraction of the largest starting diagonal: 2^20 ulps. On 200
+# duplicated pools (20 picks each), the diagonals of equal rows stayed
+# within 2 ulps of each other under uncertainty sampling at λ′ = 1e-12 and
+# 1, and their sift scores, at five λ′ from 1e-12 to 1, within 3400 ulps
+# over the score's denominator, relatively.
+_TWIN_SLACK = 2.0 ** -32
 
 
 @dataclass(frozen=True)
@@ -192,18 +216,21 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np
 def _candidate_factor(X: np.ndarray) -> np.ndarray:
     """A K×r matrix Z with ZZᵀ = XXᵀ and r ≤ min(K, d).
 
-    With at least as many rows as dimensions the rows serve as they are.
-    Otherwise a pivoted Cholesky of the K×K Gram keeps r ≤ K, so the greedy
-    state stays K×K when d is large (a small pool of wide embeddings).
-    Columns past LAPACK's numerical rank (tolerance K·ε·max‖x‖²) are
-    dropped; that moves inner products by no more than forming the Gram does.
-    The Gram comes from SciPy's BLAS, like the factorization: NumPy links its
-    own OpenBLAS, whose threads still spin after a NumPy product and made the
-    factorization 15× slower on two cores (200×1024 rows).
+    With at least as many rows as dimensions the rows serve as they are, and
+    a single row is its norm. Otherwise a pivoted Cholesky of the K×K Gram
+    keeps r ≤ K, so the greedy state stays K×K when d is large (a small pool
+    of wide embeddings). Columns past LAPACK's numerical rank (tolerance
+    K·ε·max‖x‖²) are dropped; that moves inner products by no more than
+    forming the Gram does. The Gram comes from SciPy's BLAS, like the
+    factorization: NumPy links its own OpenBLAS, whose threads still spin
+    after a NumPy product and made the factorization 15× slower on two cores
+    (200×1024 rows).
     """
     K, d = X.shape
     if K >= d:
         return X
+    if K == 1:
+        return np.array([[math.sqrt(float(X[0] @ X[0]))]])
     # imported here, not with the module: scipy.linalg is most of the time
     # `import siftsel.cli` takes, and only this branch uses it
     from scipy.linalg.blas import dsyrk
@@ -213,6 +240,14 @@ def _candidate_factor(X: np.ndarray) -> np.ndarray:
     Z = np.empty((K, rank))
     Z[piv - 1] = np.triu(c[:rank]).T
     return Z
+
+
+def _ring_size(K: int, r: int, n_select: int) -> int:
+    """How many recent steps' columns the greedy kernel keeps for a K×r
+    factor: a quarter of its width (32 columns, 5 MB, for 20k×128
+    candidates), never more than the number of steps, and none when the
+    GEMV is under _RING_MIN_WORK multiply-adds."""
+    return min(n_select, r // 4) if K * r >= _RING_MIN_WORK else 0
 
 
 def _greedy_kernel(
@@ -226,54 +261,120 @@ def _greedy_kernel(
     and query, so q is never expressed in Z's coordinates. Observing row p
     with noise λ′ maps every entry to
     k′(x,y) = k(x,y) − k(x,p)·k(p,y)/(k(p,p)+λ′); with w = A z_p/√(k(p,p)+λ′)
-    the column k(·,p)/√(k(p,p)+λ′) is Z w and A becomes A − wwᵀ. A step costs
-    one GEMV against Z plus O(r²), and the state is O(K + r²) whatever the
-    number of picks — the incremental-conditioning trick of Chen, Zhang &
-    Zhou 2018 ("Fast Greedy MAP Inference for DPPs", arXiv 1709.05135) in
-    feature space. The last few w are kept as rows of W until they are
-    folded into A, so the current matrix is A − WᵀW.
+    the column k(·,p)/√(k(p,p)+λ′) is Z w and A becomes A − wwᵀ. The state
+    is O(K + r²) whatever the number of picks — the incremental-conditioning
+    trick of Chen, Zhang & Zhou 2018 ("Fast Greedy MAP Inference for DPPs",
+    arXiv 1709.05135) in feature space. The last few w are kept as rows of
+    W until they are folded into A, so the current matrix is A − WᵀW.
 
-    pick(step, kq, diag) returns the next row of X and the objective value
-    recorded for it, given the current conditional k(q,·) and k(·,·).
-    Returns the order, objective trace and sigma trace.
+    A step costs O(r²) for w plus the column. A new pick's column is one
+    GEMV against Z, K·r work. A repeat pick of row p, last picked g < R
+    steps before at step s, builds it from the columns, w and roots of the
+    last R steps, which the kernel keeps (R from _ring_size): A_s z_p is
+    root_s·w_s, and every step j since took w_j(w_j·z_p) off it, so
+        Z A_t z_p = root_s·col_s − Σ_{j=s}^{t−1} col_j (w_j·z_p),
+    g·K work. Its value differs from the GEMV's only by rounding, which
+    _RING_DEN_FLOOR keeps small: a pick whose denominator is below it takes
+    the GEMV.
+
+    pick(step, kq, diag, slack) returns the next row of X and the objective
+    value recorded for it, given the current conditional k(q,·) and k(·,·)
+    and how far rounding may move two equal rows' diagonals apart.
+    Returns the order, objective trace and sigma trace. A diagonal or σ²
+    below zero by more than round-off raises NumericalFailure; round-off is
+    NEGATIVE_VARIANCE_TOL times the largest starting value when that
+    exceeds 1, so rows and queries far from unit size are held to the same
+    relative standard.
     """
     Z = _candidate_factor(X)
-    A = np.eye(Z.shape[1])
-    W = np.empty((_FOLD_EVERY, Z.shape[1]))
+    K, r = Z.shape
+    A = np.eye(r)
+    W = np.empty((_FOLD_EVERY, r))
     m = 0
+    R = _ring_size(K, r, n_select)
+    cols, ws, roots = np.empty((R, K)), np.empty((R, r)), np.empty(R)
+    col, tmp = np.empty(K), np.empty(K)
+    last: dict[int, int] = {}  # row -> the step it was last picked at
     kq = X @ qv
     diag = np.einsum("ij,ij->i", X, X)
-    sigma = _clamp_variance(float(qv @ qv), "sigma trace")
+    scale = float(diag.max())
+    diag_tol, slack = NEGATIVE_VARIANCE_TOL * max(scale, 1.0), _TWIN_SLACK * scale
+    sigma0 = float(qv @ qv)
+    sigma = _clamp_variance(sigma0, "sigma trace", sigma0)
     sigma_trace = [sigma]
     order: list[int] = []
     objective_trace: list[float] = []
     for step in range(n_select):
-        best, objective = pick(step, kq, diag)
+        best, objective = pick(step, kq, diag, slack)
         den = float(diag[best]) + lam
         root = math.sqrt(den)
         kq_best = float(kq[best])
         z = Z[best]
         w = A @ z - W[:m].T @ (W[:m] @ z)
         w /= root
-        col = Z @ w
-        kq -= col * (kq_best / root)
-        diag -= col * col
+        if R:
+            col = cols[step % R]
+        s = last.get(best, -R)
+        if step - s < R and den >= _RING_DEN_FLOOR * scale:
+            # the steps s..t−1 fill ring slots a..b−1, wrapping past R
+            a, b = s % R, step % R
+            parts = (slice(a, b),) if a < b else (slice(a, R), slice(0, b))
+            for i, j in enumerate(parts):
+                coef = ws[j] @ z
+                if i == 0:
+                    coef[0] -= roots[a]
+                coef /= -root
+                np.dot(coef, cols[j], out=tmp if i else col)
+            if len(parts) == 2:
+                col += tmp
+        else:
+            np.dot(Z, w, out=col)
+        np.multiply(col, kq_best / root, out=tmp)
+        kq -= tmp
+        np.multiply(col, col, out=tmp)
+        diag -= tmp
         bad = float(diag.min())
-        if bad < -NEGATIVE_VARIANCE_TOL:
-            raise NumericalFailure(
-                f"conditional diagonal went negative beyond round-off: {bad!r}"
-            )
-        np.maximum(diag, 0.0, out=diag)
+        if bad < 0.0:
+            if bad < -diag_tol:
+                raise NumericalFailure(
+                    f"conditional diagonal went negative beyond round-off: {bad!r}"
+                )
+            np.maximum(diag, 0.0, out=diag)
+        if R:
+            ws[step % R] = w
+            roots[step % R] = root
+        last[best] = step
         W[m] = w
         m += 1
         if m == _FOLD_EVERY:
             A -= W.T @ W
             m = 0
-        sigma = _clamp_variance(sigma - kq_best * kq_best / den, "sigma trace")
+        sigma = _clamp_variance(sigma - kq_best * kq_best / den, "sigma trace", sigma0)
         order.append(best)
         objective_trace.append(objective)
         sigma_trace.append(sigma)
     return order, objective_trace, sigma_trace
+
+
+def _first_twin(X: np.ndarray, scores: np.ndarray, best: int, floor: float,
+                diag: np.ndarray, slack: float) -> int:
+    """The smallest index whose row equals X[best], among the rows before
+    best that score at least floor and whose diagonal is within slack of
+    best's; best when there is none.
+
+    Equal rows have equal exact scores, so ties go to the smallest index
+    among them. Their computed scores need not be equal: OpenBLAS's GEMV
+    can give two equal rows different last bits, and the argmax then lands
+    on any of them. floor is the least an equal row's score can be after
+    such rounding. A step where no earlier row reaches it costs one max
+    over their scores.
+    """
+    if best == 0 or scores[:best].max() < floor:
+        return best
+    near = np.flatnonzero(scores[:best] >= floor)
+    near = near[np.abs(diag[near] - diag[best]) <= slack]
+    same = (X[near] == X[best]).all(axis=1)
+    return int(near[same.argmax()]) if same.any() else best
 
 
 def sift_select(
@@ -286,22 +387,30 @@ def sift_select(
 
     At each step every candidate x is scored by the marginal variance
     reduction k²(q,x)/(k(x,x)+λ′) under the current conditional kernel; the
-    argmax (smallest index on ties) is selected and the kernel is
-    conditioned on it. sigma_trace obeys
-    sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]. A step costs one
-    pass over the candidates (a K×min(K, d) matrix-vector product) plus
-    O(min(K, d)²).
+    argmax (smallest index on ties, equal rows included) is selected and the
+    kernel is conditioned on it. sigma_trace obeys
+    sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]. A step costs a
+    few elementwise passes over the K candidates plus O(min(K, d)²), and one
+    K×min(K, d) matrix-vector product. A step that picks again a row picked
+    g < min(K, d)/4 steps before builds that product's column from kept
+    ones in g·K instead, on pools large enough to gain (see _greedy_kernel).
     """
     qv = _validate_inputs(candidates, q, n_select)
     lam = cfg.lambda_prime
+    X = candidates.data
+    scores, den = np.empty(candidates.rows), np.empty(candidates.rows)
 
-    def pick(step, kq, diag):
-        scores = kq * kq / (diag + lam)
+    def pick(step, kq, diag, slack):
+        np.multiply(kq, kq, out=scores)
+        np.add(diag, lam, out=den)
+        np.divide(scores, den, out=scores)
         best = int(np.argmax(scores))
+        # an equal row's score lies within slack/den of best's, relatively
+        floor = scores[best] * (1 - slack / den[best])
+        best = _first_twin(X, scores, best, floor, diag, slack)
         return best, float(scores[best])
 
-    order, objective_trace, sigma_trace = _greedy_kernel(
-        candidates.data, qv, n_select, lam, pick)
+    order, objective_trace, sigma_trace = _greedy_kernel(X, qv, n_select, lam, pick)
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),
@@ -325,13 +434,15 @@ def uncertainty_sampling_select(
     for comparison with the query-aware strategies.
     """
     qv = _validate_inputs(candidates, q, n_select)
+    X = candidates.data
 
-    def pick(step, kq, diag):
+    def pick(step, kq, diag, slack):
         best = int(np.argmax(diag))
+        best = _first_twin(X, diag, best, diag[best] - slack, diag, slack)
         return best, float(diag[best])
 
     order, objective_trace, sigma_trace = _greedy_kernel(
-        candidates.data, qv, n_select, cfg.lambda_prime, pick)
+        X, qv, n_select, cfg.lambda_prime, pick)
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),
@@ -374,7 +485,7 @@ def nn_select(
     rows = list(dict.fromkeys(order))
     slot = {row: i for i, row in enumerate(rows)}
 
-    def pick(step, kq, diag):
+    def pick(step, kq, diag, slack):
         return slot[order[step]], score[order[step]]
 
     _, objective_trace, sigma_trace = _greedy_kernel(

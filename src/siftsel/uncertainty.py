@@ -163,14 +163,30 @@ def irreducible_uncertainty(space: EmbeddingSet, q) -> float:
     largest singular value. With at least as many rows as dimensions, one
     Cholesky factorization of XᵀX − τI, τ = 10·K·d·ε·tr(XᵀX), first
     certifies full rank: when it succeeds the floor is 0 and the K×d SVD is
-    skipped; when it fails the SVD decides.
+    skipped; when it fails the SVD decides. That row-space work depends on
+    the set alone, so it is done on the set's first query and kept with the
+    set; each query then costs one product with the rank×d basis (none at
+    all when the rows span ℝ^d).
     """
     qv = as_query(q, space.dim)
     if space.rows == 0:
         raise InvalidParameter("space must be non-empty")
-    K, d = space.data.shape
+    if space._span is None:  # kept in a 1-tuple: None inside means the rows span ℝ^d
+        object.__setattr__(space, "_span", (_row_space(space.data),))
+    basis = space._span[0]
+    if basis is None:
+        return 0.0
+    coeffs = basis @ qv
+    return max(float(qv @ qv) - float(coeffs @ coeffs), 0.0)
+
+
+def _row_space(data: np.ndarray) -> np.ndarray | None:
+    """None when the rows of data certifiably span ℝ^d, else the rank×d
+    right singular vectors above the rank cutoff (an orthonormal basis of
+    their span, 0×d for zero rows)."""
+    K, d = data.shape
     if K >= d:
-        gram = space.data.T @ space.data
+        gram = data.T @ data
         # tr(XᵀX) bounds λ_max from above. Forming XᵀX moves its
         # eigenvalues by at most about K·d·ε·tr, and Cholesky's backward
         # error is O(d·ε·tr), so a factorization of XᵀX − τI that succeeds
@@ -185,15 +201,12 @@ def irreducible_uncertainty(space: EmbeddingSet, q) -> float:
         gram.flat[::d + 1] -= tau
         try:
             np.linalg.cholesky(gram)
-            return 0.0
+            return None
         except np.linalg.LinAlgError:
             pass
-    s, vt = np.linalg.svd(space.data, full_matrices=False)[1:]
+    s, vt = np.linalg.svd(data, full_matrices=False)[1:]
     rank = int(np.sum(s > _RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
-    if rank == 0:
-        return float(qv @ qv)
-    coeffs = vt[:rank] @ qv
-    return max(float(qv @ qv) - float(coeffs @ coeffs), 0.0)
+    return vt[:rank]
 
 
 def data_space_lambda_min(space: EmbeddingSet) -> float:

@@ -366,6 +366,17 @@ class TestStats:
         assert out["sigma0_sq"] == pytest.approx(4.0, abs=1e-9)
 
 
+def _fresh_python(code: str) -> list[str]:
+    """The words a fresh interpreter running `code` prints, with this
+    package's sources on its path."""
+    src = str(Path(siftsel.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_import_and_a_default_select_leave_scipy_unloaded(tmp_path):
     """SciPy is imported by the functions that use it, not with the package:
     importing siftsel.cli and a default select on a pool with at least as
@@ -381,10 +392,20 @@ def test_import_and_a_default_select_leave_scipy_unloaded(tmp_path):
         f"rc = siftsel.cli.main(['select', {str(emb)!r}, {str(qry)!r}, '--output', {str(out)!r}])\n"
         "print(loaded, rc, 'scipy' in sys.modules)\n"
     )
-    src = str(Path(siftsel.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False"]
+    assert _fresh_python(code) == ["False", "0", "False"]
     assert len(out.read_text().splitlines()) == 51
+
+
+def test_nn_failure_mode_leaves_scipy_unloaded():
+    """nn-f conditions on one row, fewer rows than dimensions, which a
+    pivoted Cholesky from SciPy would factor; one row is its own factor."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from siftsel import EmbeddingSet, KernelConfig, nn_select\n"
+        "rng = np.random.default_rng(0)\n"
+        "space = EmbeddingSet(data=rng.normal(size=(300, 16)))\n"
+        "r = nn_select(space, rng.normal(size=16), 5, KernelConfig(), failure_mode=True)\n"
+        "print(len(set(r.order)), 'scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == ["1", "False"]

@@ -27,7 +27,7 @@ from siftsel import (
     spd_solve,
     tv_distance,
 )
-from siftsel.core import _NORM_BLOCK
+from siftsel.core import _NORM_BLOCK, _clamp_variance
 
 
 class TestEmbeddingSet:
@@ -182,6 +182,13 @@ class TestPosteriorVariance:
     def test_dimension_mismatch(self, wcfg):
         with pytest.raises(DimensionMismatch):
             posterior_variance([W_DATA[0]], np.ones(3), wcfg)
+
+    def test_round_off_band_grows_with_the_variances_never_below_1e_9(self):
+        assert _clamp_variance(-1e-6, "v", scale=1e4) == 0.0
+        assert _clamp_variance(-1e-9, "v", scale=0.5) == 0.0
+        for scale in (1.0, 0.5, 1e2):
+            with pytest.raises(NumericalFailure):
+                _clamp_variance(-1e-6, "v", scale=scale)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))

@@ -1,6 +1,8 @@
 """Selection strategies: exact greedy, NN baselines, uncertainty sampling,
 preselection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from siftsel import (
     submodularity_probe,
     uncertainty_sampling_select,
 )
+from siftsel import selectors
 from siftsel.selectors import MAX_N_SELECT, _rescore
 
 
@@ -100,6 +103,134 @@ class TestSiftSelect:
             posterior_variance(space.data[[0] * m], q, wcfg) for m in (1, 2, 3)
         ]
         np.testing.assert_allclose(r.sigma_trace, direct, atol=1e-8)
+
+
+def duplicated_pool(seed):
+    """Random unit rows, each repeated at random positions, a unit query
+    and a λ′ drawn from {1e-4, 0.01, 1}."""
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(4, 33)), int(rng.integers(5, 30))
+    base = unit_rows(rng, m, d)
+    X = base[rng.integers(0, m, size=int(rng.integers(2 * m, 8 * m)))]
+    q = unit_vector(rng, d)
+    lam = float(rng.choice([1e-4, 0.01, 1.0]))
+    return EmbeddingSet(data=X, normalized=True), q, KernelConfig(lambda_prime=lam)
+
+
+def near_duplicate_pool(seed):
+    """K unit rows in tight groups: copies of a few random rows, each
+    moved by noise of size 1e-6 to 1e-2, with a fifth of them left as
+    exact copies; and a unit query."""
+    rng = np.random.default_rng([7, seed])
+    d = int(rng.integers(12, 40))
+    K = int(rng.integers(d + 10, 4 * d))
+    base = rng.normal(size=(int(rng.integers(4, K // 3)), d))
+    noise = rng.normal(size=(K, d)) * 10.0 ** rng.uniform(-6, -2)
+    noise[rng.random(K) < 0.2] = 0.0
+    X = base[rng.integers(0, len(base), size=K)] + noise
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return EmbeddingSet(data=X, normalized=True), unit_vector(rng, d)
+
+
+def with_and_without_ring(monkeypatch, space, q, n, cfg, ring_from):
+    """sift_select with the column ring on for GEMVs of at least `ring_from`
+    multiply-adds, and with it off."""
+    runs = []
+    for threshold in (ring_from, math.inf):
+        with monkeypatch.context() as m:
+            m.setattr(selectors, "_RING_MIN_WORK", threshold)
+            runs.append(sift_select(space, q, n, cfg))
+    return runs
+
+
+class TestGreedyKernel:
+    @pytest.mark.parametrize("select", [sift_select, uncertainty_sampling_select])
+    def test_equal_rows_tie_to_their_smallest_index(self, select):
+        """Every pick is the first row equal to it. OpenBLAS's GEMV can give
+        equal rows different last bits, and a plain argmax then took a
+        later copy in 56 of these 200 pools (39 for uncertainty sampling)."""
+        for seed in range(200):
+            space, q, cfg = duplicated_pool(seed)
+            first = {}
+            for i, row in enumerate(map(bytes, space.data)):
+                first.setdefault(row, i)
+            r = select(space, q, 20, cfg)
+            assert all(first[bytes(space.data[p])] == p for p in r.order), seed
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("method", ["sift", "nn", "nn-f", "us"])
+    def test_rows_far_from_unit_size(self, scale, method):
+        """Round-off is judged against the size of the kernel: Gaussian rows
+        times 1e6 once raised NumericalFailure on a diagonal of -1.2e-4."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(300, 16)) * scale
+        q = rng.normal(size=16)
+        cfg = KernelConfig()
+        space = EmbeddingSet(data=X)
+        r = TestSelectionResultInvariants._run(method, space, q, 20, cfg)
+        if method == "nn-f":
+            # m copies of one row x, in closed form: posterior_variance's
+            # solve fails on the Gram of copies of a row of length 4e6
+            x = X[r.order[0]]
+            direct = [q @ q - m * (x @ q) ** 2 / (m * (x @ x) + cfg.lambda_prime)
+                      for m in range(21)]
+        else:
+            direct = [posterior_variance(X[list(r.order[:i])], q, cfg) for i in range(21)]
+        np.testing.assert_allclose(r.sigma_trace, direct, rtol=0, atol=1e-9 * float(q @ q))
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-4, 0.01, 1.0])
+    def test_repeat_columns_match_the_gemv(self, monkeypatch, lam):
+        """On near-duplicate pools, where the same rows come back within and
+        beyond the kept window of R steps, the kernel picks what the kernel
+        without that window (a GEMV on every step) picks, up to a step whose
+        best scores tie within rounding. Up to there its σ² and objectives
+        are within 1e-12 of the GEMV's, and over all picks its σ² are as
+        close to posterior_variance as the GEMV's are."""
+        cfg, n = KernelConfig(lambda_prime=lam), 40
+        gaps = set()
+        worst = {"ring": 0.0, "gemv": 0.0}
+        for seed in range(60):
+            space, q = near_duplicate_pool(seed)
+            ring, gemv = with_and_without_ring(monkeypatch, space, q, n, cfg, ring_from=0)
+            R = min(n, space.dim // 4)
+            t = next((i for i in range(n) if ring.order[i] != gemv.order[i]), n)
+            if t < n:
+                assert abs(ring.objective_trace[t] - gemv.objective_trace[t]) <= 1e-12
+            np.testing.assert_allclose(ring.sigma_trace[:t + 1], gemv.sigma_trace[:t + 1],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ring.objective_trace[:t], gemv.objective_trace[:t],
+                                       rtol=0, atol=1e-12)
+            for name, r in (("ring", ring), ("gemv", gemv)):
+                direct = [posterior_variance(space.data[list(r.order[:i])], q, cfg)
+                          for i in range(n + 1)]
+                worst[name] = max(worst[name], max(abs(np.subtract(r.sigma_trace, direct))))
+            last = {}
+            for step, p in enumerate(ring.order):
+                if p in last:
+                    gaps.add(step - last[p] < R)
+                last[p] = step
+        assert gaps == {True, False}
+        assert worst["ring"] <= worst["gemv"] * (1 + 1e-6) + 1e-15
+
+    def test_repeat_columns_at_the_default_threshold(self, monkeypatch):
+        """A 1000×128 clustered pool is past _RING_MIN_WORK, and most of its
+        repeat picks come back within the kept window; picks are the GEMV
+        kernel's and σ² within 1e-12 of its."""
+        rng = np.random.default_rng(60)
+        centers = unit_rows(rng, 8, 128)
+        X = centers[rng.integers(0, 8, size=1000)] + 0.01 * rng.normal(size=(1000, 128))
+        space = EmbeddingSet(data=X / np.linalg.norm(X, axis=1, keepdims=True), normalized=True)
+        q = unit_vector(rng, 128)
+        ring, gemv = with_and_without_ring(monkeypatch, space, q, 100, KernelConfig(),
+                                           ring_from=selectors._RING_MIN_WORK)
+        assert ring.order == gemv.order
+        last, near = {}, 0
+        for step, p in enumerate(ring.order):
+            near += p in last and step - last[p] < selectors._ring_size(1000, 128, 100)
+            last[p] = step
+        assert near >= 10
+        np.testing.assert_allclose(ring.sigma_trace, gemv.sigma_trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ring.objective_trace, gemv.objective_trace, rtol=0, atol=1e-12)
 
 
 class TestNnSelect:

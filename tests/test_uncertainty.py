@@ -2,6 +2,7 @@
 information gain, and adaptive stopping."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from siftsel import (
     convergence_bound_rhs,
     data_space_lambda_min,
     irreducible_uncertainty,
+    irreducible_uncertainty_oracle,
     marginal_gain,
     marginal_info_gain,
     nn_select,
@@ -159,6 +161,38 @@ class TestIrreducibleUncertainty:
         assert expected > 0.1
         np.testing.assert_allclose(
             irreducible_uncertainty(space, q), expected, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("rows", ["full rank", "rank 3 of K >= d", "K < d", "zeros"])
+    def test_the_kept_row_space_answers_like_a_fresh_set(self, rows):
+        """The row space is worked out on a set's first query and kept.
+        Every later query gets the bytes a fresh set gives it, within
+        1e-12 of the SVD-only oracle."""
+        rng = np.random.default_rng(53)
+        X = {
+            "full rank": rng.normal(size=(40, 8)),
+            "rank 3 of K >= d": rng.normal(size=(40, 3)) @ rng.normal(size=(3, 8)),
+            "K < d": rng.normal(size=(5, 8)),
+            "zeros": np.zeros((10, 8)),
+        }[rows]
+        space = EmbeddingSet(data=X)
+        assert space._span is None
+        for _ in range(6):
+            q = rng.normal(size=8)
+            eta = irreducible_uncertainty(space, q)
+            assert space._span is not None
+            assert eta.hex() == irreducible_uncertainty(EmbeddingSet(data=X), q).hex()
+            assert eta == pytest.approx(irreducible_uncertainty_oracle(space, q),
+                                        rel=0, abs=1e-12)
+
+    def test_a_pickled_set_leaves_the_row_space_behind(self):
+        rng = np.random.default_rng(54)
+        space = EmbeddingSet(data=rng.normal(size=(3, 5)))
+        q = rng.normal(size=5)
+        eta = irreducible_uncertainty(space, q)
+        back = pickle.loads(pickle.dumps(space))
+        assert space._span is not None and back._span is None
+        assert irreducible_uncertainty(back, q) == eta
 
 
 class TestDataSpaceLambdaMin:
