@@ -48,8 +48,9 @@ _ZERO_NORM_CUTOFF = 1e-12
 # Rows per block when norms are summed and stored rows are widened.
 _NORM_BLOCK = 4096
 
-# Diagonal bumps spd_solve tries in turn: a plain Cholesky first, then
-# growing jitter until the factorization succeeds.
+# Diagonal bumps spd_solve tries in turn, as fractions of the matrix's mean
+# diagonal: a plain Cholesky first, then growing jitter until the
+# factorization succeeds.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 
@@ -84,13 +85,14 @@ class EmbeddingSet:
     built from the stored rows the first time it is used, as
     rows.astype(float64) / norms[:, None], and kept; preselect_candidates
     and nn_select scan the stored rows and never build it. The row space
-    that irreducible_uncertainty finds is kept in _span the same way. A
-    pickled set carries its rows and divisors, none of the values computed
-    from them.
+    that irreducible_uncertainty finds is kept in _span the same way, and
+    so are the squared norms of data's rows that the greedy kernel starts
+    from, in _sq. A pickled set carries its rows and divisors, none of the
+    values computed from them.
     """
 
     __slots__ = ("ids", "normalized", "source_rows", "_rows", "_div", "_norms", "_data",
-                 "_reach", "_span")
+                 "_reach", "_span", "_sq")
 
     def __init__(self, data, ids=None, normalized: bool = False, source_rows=None):
         rows = np.array(data, dtype=np.float64, order="C")
@@ -117,7 +119,7 @@ class EmbeddingSet:
         for name, value in (("ids", ids), ("normalized", normalized),
                             ("source_rows", source_rows), ("_rows", rows), ("_div", div),
                             ("_norms", div), ("_data", None), ("_reach", None),
-                            ("_span", None)):
+                            ("_span", None), ("_sq", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -176,6 +178,15 @@ class EmbeddingSet:
         if self._data is not None:
             return self._data[idx]
         return self._widen(self._rows[idx], self._div, idx)
+
+    def _sq_norms(self) -> np.ndarray:
+        """einsum("ij,ij->i", data, data), the squared norms of data's rows,
+        computed once and kept; read-only."""
+        if self._sq is None:
+            sq = np.einsum("ij,ij->i", self.data, self.data)
+            sq.flags.writeable = False
+            object.__setattr__(self, "_sq", sq)
+        return self._sq
 
     def _row_norms(self) -> np.ndarray:
         """The float64 norms of the stored rows (before any division),
@@ -266,25 +277,32 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the symmetric positive-definite system mat @ x = rhs.
 
     Plain Cholesky first; on failure the diagonal is bumped by 1e-10,
-    then 1e-8, then 1e-6 before giving up with NumericalFailure. The
-    escalation rescues Grams made singular by duplicated rows when the
-    caller's regularizer is tiny, while the unperturbed first attempt
-    keeps well-posed solves bias-free.
+    then 1e-8, then 1e-6 times the mean diagonal before giving up with
+    NumericalFailure. The escalation rescues Grams made singular by
+    duplicated rows when the caller's regularizer is tiny next to the rows,
+    at any size of the rows, while the unperturbed first attempt keeps
+    well-posed solves bias-free. A matrix whose mean diagonal is not
+    positive and finite is not positive definite, and gets the plain
+    attempt alone.
     """
     # imported here, not with the module: scipy.linalg is most of the time
     # `import siftsel.cli` takes, and a default select never solves
     import scipy.linalg
 
     mat = np.asarray(mat, dtype=np.float64)
-    eye = np.eye(mat.shape[0])
-    for j in _JITTER_LADDER:
+    n = mat.shape[0]
+    eye = np.eye(n)
+    mean = float(np.trace(mat)) / n if n else 0.0
+    ladder = _JITTER_LADDER if 0.0 < mean < math.inf else _JITTER_LADDER[:1]
+    for j in ladder:
         try:
-            c, low = scipy.linalg.cho_factor(mat + j * eye, lower=True, check_finite=False)
+            c, low = scipy.linalg.cho_factor(mat + j * mean * eye, lower=True,
+                                             check_finite=False)
             return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
     raise NumericalFailure(
-        f"SPD solve failed after jitter escalation to 1e-6 (size {mat.shape[0]})"
+        f"SPD solve failed after jitter escalation to 1e-6 of the mean diagonal (size {n})"
     )
 
 

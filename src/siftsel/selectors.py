@@ -78,6 +78,14 @@ _RING_DEN_FLOOR = 2.0 ** -20
 # over the score's denominator, relatively.
 _TWIN_SLACK = 2.0 ** -32
 
+# A pick whose denominator k(p,p)+λ′ is below this fraction of the largest
+# starting diagonal adds nothing (see _greedy_kernel). That k(p,p) is a
+# difference of terms as large as the starting diagonal, so it is then
+# round-off, and conditioning on it threw the diagonals far below zero:
+# −1.5e10 on 300×16 Gaussian rows ×1e8 at λ′ = 0.01. Unit rows at λ′ ≥ 1e-12
+# never reach it.
+_DEN_FLOOR = 2.0 ** -40
+
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -157,10 +165,12 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np
        SGEMV for float32 rows), with q̃ the query rounded to that dtype;
        ŝ = t / div in float64, div being the row's norm when the set
        stores unnormalized rows with their norms, else 1.
-    2. Filter: ŝ lies within E_i of the row's exact rescored score r_i,
-       so every row with r_i at least the k-th largest r has
+    2. Filter (_survivors): ŝ lies within E_i of the row's exact rescored
+       score r_i, so every row with r_i at least the k-th largest r has
        ŝ_i + E_i ≥ the k-th largest ŝ − E; only rows below that are
-       dropped. Rows with a non-finite ŝ are always kept.
+       dropped. Rows with a non-finite ŝ are always kept. When E is one
+       number (every set with divisors, so every normalized set) and every
+       ŝ is finite, the k-th largest ŝ − E comes from one partition of ŝ.
     3. Rebuild the kept rows in float64, a block at a time.
     4. Rescore them with _rescore and take _top_k, which keeps ties in
        index order, as the full stable sort does.
@@ -199,18 +209,33 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np
         if not reach * qn * grow < np.finfo(np.float64).max / 4:
             keep = np.arange(space.rows)
         else:
-            lo = s - E
-            bad = ~np.isfinite(s)
-            if bad.any():
-                lo[bad] = -np.inf
-            kth = -np.partition(-lo, k - 1)[k - 1]
-            keep = np.flatnonzero(~(s + E < kth) | bad)
+            keep = _survivors(s, E, k)
     scores = np.empty(keep.size)
     for start in range(0, keep.size, _RESCORE_BLOCK):
         idx = keep[start:start + _RESCORE_BLOCK]
         scores[start:start + idx.size] = _rescore(space._take(idx), qv)
     top = _top_k(scores, k)
     return keep[top], scores[top]
+
+
+def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
+    """The indices i, ascending, with s_i + E_i not below the k-th largest
+    s − E, and those of every non-finite s_i.
+
+    E is a K-vector, or one number for every row. In the second case, when
+    the sum of s is finite (so is every s_i), x ↦ fl(x − E) is monotone, so
+    the k-th largest s − E is fl(kth − E) for the k-th largest s, found by
+    one partition of s in place of the per-row path's three passes.
+    """
+    if np.ndim(E) == 0 and math.isfinite(np.add.reduce(s)):
+        kth = np.partition(s, s.size - k)[s.size - k]
+        return np.flatnonzero(s + E >= kth - E)
+    lo = s - E
+    bad = ~np.isfinite(s)
+    if bad.any():
+        lo[bad] = -np.inf
+    kth = -np.partition(-lo, k - 1)[k - 1]
+    return np.flatnonzero(~(s + E < kth) | bad)
 
 
 def _candidate_factor(X: np.ndarray) -> np.ndarray:
@@ -250,8 +275,18 @@ def _ring_size(K: int, r: int, n_select: int) -> int:
     return min(n_select, r // 4) if K * r >= _RING_MIN_WORK else 0
 
 
+def _project(z: np.ndarray, A: np.ndarray | None, W: np.ndarray) -> np.ndarray:
+    """(A − WᵀW) z for the greedy kernel's current matrix, with A None
+    standing for I (before the first fold) and W holding the w's not yet
+    folded into A, possibly none. Each of the two cases skips a product
+    whose result it already has: I z is z, and an empty W takes nothing
+    off."""
+    v = z if A is None else A @ z
+    return v - W.T @ (W @ z) if len(W) else v
+
+
 def _greedy_kernel(
-    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick
+    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0=None
 ) -> tuple[list[int], list[float], list[float]]:
     """The exact greedy conditioning loop behind every selector.
 
@@ -279,16 +314,21 @@ def _greedy_kernel(
 
     pick(step, kq, diag, slack) returns the next row of X and the objective
     value recorded for it, given the current conditional k(q,·) and k(·,·)
-    and how far rounding may move two equal rows' diagonals apart.
-    Returns the order, objective trace and sigma trace. A diagonal or σ²
-    below zero by more than round-off raises NumericalFailure; round-off is
-    NEGATIVE_VARIANCE_TOL times the largest starting value when that
-    exceeds 1, so rows and queries far from unit size are held to the same
-    relative standard.
+    and how far rounding may move two equal rows' diagonals apart. diag0,
+    when given, is einsum("ij,ij->i", X, X) computed before; the kernel
+    works on a copy. Returns the order, objective trace and sigma trace.
+
+    A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times the
+    largest starting diagonal is round-off, not information: it is
+    recorded with the objective pick gave it and changes nothing, so σ²
+    stays where it was. A diagonal or σ² below zero by more than round-off
+    raises NumericalFailure; round-off is NEGATIVE_VARIANCE_TOL times the
+    largest starting value when that exceeds 1, so rows and queries far
+    from unit size are held to the same relative standard.
     """
     Z = _candidate_factor(X)
     K, r = Z.shape
-    A = np.eye(r)
+    A = None  # I until the first fold
     W = np.empty((_FOLD_EVERY, r))
     m = 0
     R = _ring_size(K, r, n_select)
@@ -296,9 +336,10 @@ def _greedy_kernel(
     col, tmp = np.empty(K), np.empty(K)
     last: dict[int, int] = {}  # row -> the step it was last picked at
     kq = X @ qv
-    diag = np.einsum("ij,ij->i", X, X)
+    diag = np.einsum("ij,ij->i", X, X) if diag0 is None else diag0.copy()
     scale = float(diag.max())
     diag_tol, slack = NEGATIVE_VARIANCE_TOL * max(scale, 1.0), _TWIN_SLACK * scale
+    den_floor, ring_floor = _DEN_FLOOR * scale, _RING_DEN_FLOOR * scale
     sigma0 = float(qv @ qv)
     sigma = _clamp_variance(sigma0, "sigma trace", sigma0)
     sigma_trace = [sigma]
@@ -306,16 +347,24 @@ def _greedy_kernel(
     objective_trace: list[float] = []
     for step in range(n_select):
         best, objective = pick(step, kq, diag, slack)
+        order.append(best)
+        objective_trace.append(objective)
         den = float(diag[best]) + lam
+        if den < den_floor:
+            # The ring's slot for this step stays stale, and no repeat can
+            # read it: a skip needs λ′ < den_floor, and a row picked before
+            # has kept k(p,p) < λ′ since, so its repeat is skipped too,
+            # far below _RING_DEN_FLOOR.
+            sigma_trace.append(sigma)
+            continue
         root = math.sqrt(den)
         kq_best = float(kq[best])
         z = Z[best]
-        w = A @ z - W[:m].T @ (W[:m] @ z)
-        w /= root
+        w = _project(z, A, W[:m]) / root
         if R:
             col = cols[step % R]
         s = last.get(best, -R)
-        if step - s < R and den >= _RING_DEN_FLOOR * scale:
+        if step - s < R and den >= ring_floor:
             # the steps s..t−1 fill ring slots a..b−1, wrapping past R
             a, b = s % R, step % R
             parts = (slice(a, b),) if a < b else (slice(a, R), slice(0, b))
@@ -333,11 +382,11 @@ def _greedy_kernel(
         kq -= tmp
         np.multiply(col, col, out=tmp)
         diag -= tmp
-        bad = float(diag.min())
+        bad = diag[diag.argmin()]  # argmin's fast path beats min's reduction on small K
         if bad < 0.0:
             if bad < -diag_tol:
                 raise NumericalFailure(
-                    f"conditional diagonal went negative beyond round-off: {bad!r}"
+                    f"conditional diagonal went negative beyond round-off: {float(bad)!r}"
                 )
             np.maximum(diag, 0.0, out=diag)
         if R:
@@ -347,11 +396,9 @@ def _greedy_kernel(
         W[m] = w
         m += 1
         if m == _FOLD_EVERY:
-            A -= W.T @ W
+            A = (np.eye(r) if A is None else A) - W.T @ W
             m = 0
         sigma = _clamp_variance(sigma - kq_best * kq_best / den, "sigma trace", sigma0)
-        order.append(best)
-        objective_trace.append(objective)
         sigma_trace.append(sigma)
     return order, objective_trace, sigma_trace
 
@@ -369,9 +416,12 @@ def _first_twin(X: np.ndarray, scores: np.ndarray, best: int, floor: float,
     such rounding. A step where no earlier row reaches it costs one max
     over their scores.
     """
-    if best == 0 or scores[:best].max() < floor:
+    if best == 0:
         return best
-    near = np.flatnonzero(scores[:best] >= floor)
+    head = scores[:best]
+    if head[head.argmax()] < floor:
+        return best
+    near = np.flatnonzero(head >= floor)
     near = near[np.abs(diag[near] - diag[best]) <= slack]
     same = (X[near] == X[best]).all(axis=1)
     return int(near[same.argmax()]) if same.any() else best
@@ -404,13 +454,14 @@ def sift_select(
         np.multiply(kq, kq, out=scores)
         np.add(diag, lam, out=den)
         np.divide(scores, den, out=scores)
-        best = int(np.argmax(scores))
+        best = int(scores.argmax())
         # an equal row's score lies within slack/den of best's, relatively
         floor = scores[best] * (1 - slack / den[best])
         best = _first_twin(X, scores, best, floor, diag, slack)
         return best, float(scores[best])
 
-    order, objective_trace, sigma_trace = _greedy_kernel(X, qv, n_select, lam, pick)
+    order, objective_trace, sigma_trace = _greedy_kernel(
+        X, qv, n_select, lam, pick, candidates._sq_norms())
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),
@@ -437,12 +488,12 @@ def uncertainty_sampling_select(
     X = candidates.data
 
     def pick(step, kq, diag, slack):
-        best = int(np.argmax(diag))
+        best = int(diag.argmax())
         best = _first_twin(X, diag, best, diag[best] - slack, diag, slack)
         return best, float(diag[best])
 
     order, objective_trace, sigma_trace = _greedy_kernel(
-        X, qv, n_select, cfg.lambda_prime, pick)
+        X, qv, n_select, cfg.lambda_prime, pick, candidates._sq_norms())
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),

@@ -467,6 +467,30 @@ class TestSelectionSerialization:
             write_selection(r, None, tmp_path / "sel.jsonl")
         assert not (tmp_path / "sel.jsonl").exists()
 
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+                        min_size=1, max_size=6),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=13,
+                           max_size=13),
+           data=st.data())
+    def test_one_encoder_writes_what_json_dumps_writes(self, ids, values, data):
+        """Ids with quotes, backslashes, control and non-ASCII characters,
+        and any finite floats, come out as per-record json.dumps."""
+        ids = ids + ['"q"', "back\\slash", "ü€😀", "\n\x00"]
+        n = len(values) // 2
+        order = tuple(data.draw(st.integers(0, len(ids) - 1)) for _ in range(n))
+        r = SelectionResult(order=order, objective_trace=tuple(values[:n]),
+                            sigma_trace=tuple(values[n:2 * n + 1]), method="sift",
+                            lambda_prime=values[-1])
+        buf = io.StringIO()
+        write_selection(r, ids, buf)
+        records = [{"rank": i + 1, "row": row, "id": ids[row], "objective": r.objective_trace[i],
+                    "sigma_sq": r.sigma_trace[i + 1]} for i, row in enumerate(order)]
+        records.append({"method": "sift", "lambda_prime": r.lambda_prime, "n": n,
+                        "sigma0_sq": r.sigma_trace[0], "sigma_final_sq": r.sigma_trace[-1]})
+        assert buf.getvalue() == "".join(json.dumps(rec, allow_nan=False) + "\n"
+                                         for rec in records)
+
     def test_read_selection_requires_summary(self, tmp_path):
         p = tmp_path / "sel.jsonl"
         p.write_text('{"rank": 1, "row": 0}\n')

@@ -8,6 +8,8 @@ families below aim at the places where a scan in lower precision could drop
 a row it must keep.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,23 +99,17 @@ def test_picks_equal_a_full_stable_argsort_of_the_rescoring(family, dtype, norma
     k = 1 + int(frac * (K - 1))
     space = _space(x, normalized)
     pool = preselect_candidates(space, q, k)
-    # nn_select's σ trace runs the greedy kernel. Unnormalized rows of size
-    # 1e16 and more, with λ′ = 0.01, leave it dividing by round-off once the
-    # picks span the rows, and it raises NumericalFailure; so nn_select is
-    # held to the oracle on the rest, rows scaled by 1e±6 included
-    nn = normalized or family not in ("near_max", "subnormal")
-    distinct = nn_select(space, q, k, KernelConfig()) if nn else None
-    failure = nn_select(space, q, 3, KernelConfig(), failure_mode=True) if nn else None
+    distinct = nn_select(space, q, k, KernelConfig())
+    failure = nn_select(space, q, 3, KernelConfig(), failure_mode=True)
     assert space._data is None  # the scan never builds the float64 matrix
 
     ranked, scores = _reference(_space(x, normalized), q)
     np.testing.assert_array_equal(pool.source_rows, ranked[:k])
     assert pool.data.tobytes() == space.data[ranked[:k]].tobytes()
-    if nn:
-        assert distinct.order == tuple(ranked[:k])
-        assert distinct.objective_trace == tuple(scores[ranked[:k]])
-        assert failure.order == (ranked[0],) * 3
-        assert failure.objective_trace == (scores[ranked[0]],) * 3
+    assert distinct.order == tuple(ranked[:k])
+    assert distinct.objective_trace == tuple(scores[ranked[:k]])
+    assert failure.order == (ranked[0],) * 3
+    assert failure.objective_trace == (scores[ranked[0]],) * 3
 
 
 def test_a_scan_that_overflows_keeps_the_row():
@@ -123,6 +119,57 @@ def test_a_scan_that_overflows_keeps_the_row():
     q = np.array([1.0, 1.0, 1.0])
     assert preselect_candidates(space, q, 1).source_rows == (1,)
     assert nn_select(space, q, 2, KernelConfig()).order == (1, 2)
+
+
+def test_a_divided_scan_that_overflows_keeps_the_row():
+    """The normalized twin of the test above. Row 1's float32 scan is
+    inf − inf, NaN, and its score over its norm is the largest; rows 0 and 2
+    tie below it. Without the finiteness check, the one-number bound's
+    partition would rank the NaN first and keep nothing."""
+    x = np.array([[-1.0, 0.0], [F32_MAX, -0.9 * F32_MAX], [0.0, -1.0]], np.float32)
+    space = _space(x, True)
+    q = np.array([2.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(space._rows[1] @ q.astype(np.float32))
+    assert preselect_candidates(space, q, 1).source_rows == (1,)
+    assert nn_select(space, q, 2, KernelConfig()).order == (1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), dtype=st.sampled_from([np.float32, np.float64]),
+       d=st.integers(1, 12), K=st.integers(1, 150), frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_both_filter_branches_keep_the_same_rows(family, dtype, d, K, frac, seed):
+    """On a normalized set the scan bound is one number, and the filter
+    takes the k-th score from one partition of the scan's scores whenever
+    they are all finite. It keeps the rows, in the same order, that the
+    per-row path keeps given that number for every row; so _ranked returns
+    the same rows and scores. Near-ties put ties at the k-th score."""
+    rng = np.random.default_rng(seed)
+    x, q = FAMILIES[family](rng, K, d, dtype)
+    if not (np.linalg.norm(x.astype(np.float64), axis=1) >= 1e-12).all():
+        x[:, 0] = 1
+    k = 1 + int(frac * (K - 1))
+    space = _space(x, True)
+    survivors = selectors._survivors
+    calls = []
+
+    def per_row(s, E, k):
+        assert np.ndim(E) == 0
+        return survivors(s, np.full(s.shape, E), k)
+
+    def both(s, E, k):
+        calls.append(k)
+        keep = survivors(s, E, k)
+        np.testing.assert_array_equal(keep, per_row(s, E, k))
+        return keep
+
+    with mock.patch.object(selectors, "_survivors", both):
+        rows, scores = selectors._ranked(space, q, k)
+    with mock.patch.object(selectors, "_survivors", per_row):
+        rows_pr, scores_pr = selectors._ranked(space, q, k)
+    assert calls
+    assert rows.tobytes() == rows_pr.tobytes() and scores.tobytes() == scores_pr.tobytes()
 
 
 def test_survivors_are_few_on_gaussian_rows(monkeypatch):

@@ -2,6 +2,7 @@
 preselection."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -157,26 +158,67 @@ class TestGreedyKernel:
             r = select(space, q, 20, cfg)
             assert all(first[bytes(space.data[p])] == p for p in r.order), seed
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e8])
     @pytest.mark.parametrize("method", ["sift", "nn", "nn-f", "us"])
     def test_rows_far_from_unit_size(self, scale, method):
         """Round-off is judged against the size of the kernel: Gaussian rows
-        times 1e6 once raised NumericalFailure on a diagonal of -1.2e-4."""
+        times 1e6 once raised NumericalFailure on a diagonal of -1.2e-4.
+        Times 1e8, λ′ = 0.01 is round-off once the picks span the rows; a
+        pick whose denominator was then conditioned on threw the diagonals
+        to -1.5e10, and now adds nothing."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(300, 16)) * scale
         q = rng.normal(size=16)
         cfg = KernelConfig()
         space = EmbeddingSet(data=X)
         r = TestSelectionResultInvariants._run(method, space, q, 20, cfg)
-        if method == "nn-f":
-            # m copies of one row x, in closed form: posterior_variance's
-            # solve fails on the Gram of copies of a row of length 4e6
-            x = X[r.order[0]]
-            direct = [q @ q - m * (x @ q) ** 2 / (m * (x @ x) + cfg.lambda_prime)
-                      for m in range(21)]
-        else:
-            direct = [posterior_variance(X[list(r.order[:i])], q, cfg) for i in range(21)]
+        direct = [posterior_variance(X[list(r.order[:i])], q, cfg) for i in range(21)]
         np.testing.assert_allclose(r.sigma_trace, direct, rtol=0, atol=1e-9 * float(q @ q))
+
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("lam", [1e-12, 0.01, 1.0])
+    @pytest.mark.parametrize("select", [sift_select, uncertainty_sampling_select, nn_select])
+    def test_step_shortcuts_change_no_byte(self, monkeypatch, select, lam, ring):
+        """The kernel skips I·z before its first fold and the W product
+        while no w waits to be folded. Over 130 picks, two folds, on
+        duplicate-heavy pools, with and without kept columns, its order and
+        traces are the bytes of the step that always multiplies."""
+        def unshortened(z, A, W):
+            return (np.eye(z.size) if A is None else A) @ z - W.T @ (W @ z)
+
+        cfg, n = KernelConfig(lambda_prime=lam), 130
+        assert n > 2 * selectors._FOLD_EVERY
+        if ring:
+            monkeypatch.setattr(selectors, "_RING_MIN_WORK", 0)
+        for seed in range(8):
+            space, q = near_duplicate_pool(seed)
+            picks = min(n, space.rows) if select is nn_select else n  # nn picks distinct rows
+            fast = select(space, q, picks, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(selectors, "_project", unshortened)
+                full = select(space, q, picks, cfg)
+            assert fast.order == full.order
+            assert fast.objective_trace == full.objective_trace
+            assert fast.sigma_trace == full.sigma_trace
+
+    def test_the_starting_diagonal_is_kept_per_set(self):
+        """The squared row norms the kernel starts from are computed once
+        per set, equal a fresh einsum's bytes, are never written to, and do
+        not travel with a pickled set."""
+        rng = np.random.default_rng(61)
+        space = normalize_rows(EmbeddingSet(data=rng.normal(size=(300, 12)) * 3))
+        q, cfg = unit_vector(rng, 12), KernelConfig()
+        fresh = np.einsum("ij,ij->i", space.data, space.data).tobytes()
+        assert space._sq is None
+        sift = sift_select(space, q, 30, cfg)
+        kept = space._sq
+        assert kept.tobytes() == fresh and not kept.flags.writeable
+        us = uncertainty_sampling_select(space, q, 30, cfg)
+        assert space._sq is kept and kept.tobytes() == fresh
+        back = pickle.loads(pickle.dumps(space))
+        assert back._sq is None
+        assert sift_select(back, q, 30, cfg) == sift
+        assert uncertainty_sampling_select(back, q, 30, cfg) == us
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-4, 0.01, 1.0])
     def test_repeat_columns_match_the_gemv(self, monkeypatch, lam):
