@@ -49,9 +49,19 @@ _ZERO_NORM_CUTOFF = 1e-12
 _NORM_BLOCK = 4096
 
 # Diagonal bumps spd_solve tries in turn, as fractions of the matrix's mean
-# diagonal: a plain Cholesky first, then growing jitter until the
-# factorization succeeds.
-_JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
+# diagonal: a plain Cholesky first, then jitter from one ulp of the mean
+# diagonal up, 16 times larger each rung, until the factorization succeeds.
+# Ten copies of a row ×1e6 at λ′ = 0.01 need the first rung, 2^-52; rows
+# ×1e8 that span the space need 2^-48. A rung is thus at most 16 times the
+# least that succeeds, and near the rounding already in the matrix's entries.
+_JITTER_LADDER = (0.0,) + tuple(2.0 ** e for e in range(-52, -19, 4))
+
+# With a ridge given, spd_solve keeps a jittered solution only when the
+# jitter can have moved rhs·x by at most this fraction of itself. The bound
+# it checks counts round-off in rhs as if it were signal, so it runs far
+# above the true movement: on 300×16 Gaussian rows ×1e9 it reached 1.6e-7,
+# where posterior_variance and the greedy kernel agreed within 3e-13·σ²₀.
+_JITTER_BIAS = 1e-6
 
 
 def _check_finite(data: np.ndarray, first_row: int = 0) -> None:
@@ -273,17 +283,24 @@ def _as_row_matrix(selected, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def spd_solve(mat: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Solve the symmetric positive-definite system mat @ x = rhs.
 
-    Plain Cholesky first; on failure the diagonal is bumped by 1e-10,
-    then 1e-8, then 1e-6 times the mean diagonal before giving up with
-    NumericalFailure. The escalation rescues Grams made singular by
-    duplicated rows when the caller's regularizer is tiny next to the rows,
-    at any size of the rows, while the unperturbed first attempt keeps
-    well-posed solves bias-free. A matrix whose mean diagonal is not
-    positive and finite is not positive definite, and gets the plain
-    attempt alone.
+    Plain Cholesky first; on failure the diagonal is bumped by j = 2^-52,
+    then 2^-48, … up to 2^-20 times the mean diagonal (_JITTER_LADDER)
+    before giving up with NumericalFailure. The escalation rescues Grams
+    made singular in floating point by duplicated rows when the
+    regularizer is tiny next to the rows, at any size of the rows, while
+    the unperturbed first attempt keeps well-posed solves bias-free. A
+    matrix whose mean diagonal is not positive and finite is not positive
+    definite, and gets the plain attempt alone.
+
+    ridge is the regularizer mat carries on its diagonal, λ′ for a Gram
+    plus λ′I, so every eigenvalue of the exact matrix is at least ridge.
+    The jitter then moves rhs·x by j·x_exact·x ≤ j(1 + j/ridge)·x·x. When
+    ridge is positive, a jittered solution whose bound exceeds
+    _JITTER_BIAS·|rhs·x| raises NumericalFailure rather than return a
+    biased value; a larger rung would only move it further.
     """
     # imported here, not with the module: scipy.linalg is most of the time
     # `import siftsel.cli` takes, and a default select never solves
@@ -298,11 +315,20 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         try:
             c, low = scipy.linalg.cho_factor(mat + j * mean * eye, lower=True,
                                              check_finite=False)
-            return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
+        x = scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+        jit = j * mean
+        if jit and ridge > 0.0:
+            bound = jit * (1.0 + jit / ridge) * float(np.vdot(x, x))
+            if not bound <= _JITTER_BIAS * abs(float(np.vdot(rhs, x))):
+                raise NumericalFailure(
+                    f"SPD solve needs jitter {jit:.3g} against a ridge of {ridge:.3g}, "
+                    f"which may move the solution by up to {bound:.3g} (size {n})"
+                )
+        return x
     raise NumericalFailure(
-        f"SPD solve failed after jitter escalation to 1e-6 of the mean diagonal (size {n})"
+        f"SPD solve failed after jitter escalation to 2^-20 of the mean diagonal (size {n})"
     )
 
 
@@ -376,7 +402,7 @@ def posterior_variance(selected, q, cfg: KernelConfig) -> float:
     gram = X @ X.T
     gram[np.diag_indices_from(gram)] += cfg.lambda_prime
     kxq = X @ q
-    sol = spd_solve(gram, kxq)
+    sol = spd_solve(gram, kxq, cfg.lambda_prime)
     return _clamp_variance(kqq - float(kxq @ sol), "posterior variance")
 
 
@@ -391,7 +417,7 @@ def posterior_variance_feature_space(selected, q, cfg: KernelConfig) -> float:
     X = _as_row_matrix(selected, q.shape[0])
     sigma = X.T @ X
     sigma[np.diag_indices_from(sigma)] += cfg.lambda_prime
-    sol = spd_solve(sigma, q)
+    sol = spd_solve(sigma, q, cfg.lambda_prime)
     return _clamp_variance(cfg.lambda_prime * float(q @ sol), "posterior variance")
 
 

@@ -78,12 +78,13 @@ _RING_DEN_FLOOR = 2.0 ** -20
 # over the score's denominator, relatively.
 _TWIN_SLACK = 2.0 ** -32
 
-# A pick whose denominator k(p,p)+λ′ is below this fraction of the largest
-# starting diagonal adds nothing (see _greedy_kernel). That k(p,p) is a
-# difference of terms as large as the starting diagonal, so it is then
-# round-off, and conditioning on it threw the diagonals far below zero:
-# −1.5e10 on 300×16 Gaussian rows ×1e8 at λ′ = 0.01. Unit rows at λ′ ≥ 1e-12
-# never reach it.
+# A pick whose denominator k(p,p)+λ′ is below this fraction of its own
+# starting diagonal k0(p,p) adds nothing (see _greedy_kernel). That k(p,p)
+# is a difference of terms as large as k0(p,p), so it is then round-off,
+# and conditioning on it threw the diagonals far below zero: −1.5e10 on
+# 300×16 Gaussian rows ×1e8 at λ′ = 0.01. Unit rows at λ′ ≥ 1e-12 never
+# reach it. The floor is the row's own: a floor from the largest starting
+# diagonal took a fresh unit row next to a row ×1e7 for round-off.
 _DEN_FLOOR = 2.0 ** -40
 
 
@@ -244,9 +245,13 @@ def _candidate_factor(X: np.ndarray) -> np.ndarray:
     With at least as many rows as dimensions the rows serve as they are, and
     a single row is its norm. Otherwise a pivoted Cholesky of the K×K Gram
     keeps r ≤ K, so the greedy state stays K×K when d is large (a small pool
-    of wide embeddings). Columns past LAPACK's numerical rank (tolerance
-    K·ε·max‖x‖²) are dropped; that moves inner products by no more than
-    forming the Gram does. The Gram comes from SciPy's BLAS, like the
+    of wide embeddings). Pivots below K·u·min‖x‖² end the factor, so rows
+    that depend on the others to working precision add no column. Each
+    entry of the Gram errs by about d·u·‖x_i‖‖x_j‖, relative to its own
+    rows, so the tolerance comes from the shortest row. LAPACK's default,
+    K·u·max‖x‖², dropped what rows 1e9 times shorter than the longest
+    add, and the kernel then lost them: σ² stopped falling, or went below
+    zero. The Gram comes from SciPy's BLAS, like the
     factorization: NumPy links its own OpenBLAS, whose threads still spin
     after a NumPy product and made the factorization 15× slower on two cores
     (200×1024 rows).
@@ -261,7 +266,8 @@ def _candidate_factor(X: np.ndarray) -> np.ndarray:
     from scipy.linalg.blas import dsyrk
     from scipy.linalg.lapack import dpstrf
 
-    c, piv, rank, _ = dpstrf(dsyrk(1.0, X.T, trans=1), overwrite_a=1)
+    G = dsyrk(1.0, X.T, trans=1)
+    c, piv, rank, _ = dpstrf(G, tol=K * 2.0 ** -53 * G.diagonal().min(), overwrite_a=1)
     Z = np.empty((K, rank))
     Z[piv - 1] = np.triu(c[:rank]).T
     return Z
@@ -286,7 +292,7 @@ def _project(z: np.ndarray, A: np.ndarray | None, W: np.ndarray) -> np.ndarray:
 
 
 def _greedy_kernel(
-    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0=None
+    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray
 ) -> tuple[list[int], list[float], list[float]]:
     """The exact greedy conditioning loop behind every selector.
 
@@ -314,17 +320,22 @@ def _greedy_kernel(
 
     pick(step, kq, diag, slack) returns the next row of X and the objective
     value recorded for it, given the current conditional k(q,·) and k(·,·)
-    and how far rounding may move two equal rows' diagonals apart. diag0,
-    when given, is einsum("ij,ij->i", X, X) computed before; the kernel
-    works on a copy. Returns the order, objective trace and sigma trace.
+    and how far rounding may move two equal rows' diagonals apart. diag0
+    is the starting diagonal einsum("ij,ij->i", X, X); the kernel works on
+    a copy. Returns the order, objective trace and sigma trace.
 
-    A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times the
-    largest starting diagonal is round-off, not information: it is
-    recorded with the objective pick gave it and changes nothing, so σ²
-    stays where it was. A diagonal or σ² below zero by more than round-off
-    raises NumericalFailure; round-off is NEGATIVE_VARIANCE_TOL times the
-    largest starting value when that exceeds 1, so rows and queries far
-    from unit size are held to the same relative standard.
+    A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times its own
+    starting diagonal is round-off, not information, and so is its k(q,p).
+    The kernel sets both to 0 and asks pick again: sift and us then move
+    on to another row, with the objective their score gives it, so sift's
+    σ rule holds. When pick returns the same row (nn's order is fixed, or
+    every score is 0), the step is recorded with that objective and
+    changes nothing, so σ² stays where it was.
+
+    A diagonal or σ² below zero by more than round-off raises
+    NumericalFailure; round-off is NEGATIVE_VARIANCE_TOL times the largest
+    starting value when that exceeds 1, so rows and queries far from unit
+    size are held to the same relative standard.
     """
     Z = _candidate_factor(X)
     K, r = Z.shape
@@ -336,10 +347,10 @@ def _greedy_kernel(
     col, tmp = np.empty(K), np.empty(K)
     last: dict[int, int] = {}  # row -> the step it was last picked at
     kq = X @ qv
-    diag = np.einsum("ij,ij->i", X, X) if diag0 is None else diag0.copy()
+    diag = diag0.copy()
     scale = float(diag.max())
     diag_tol, slack = NEGATIVE_VARIANCE_TOL * max(scale, 1.0), _TWIN_SLACK * scale
-    den_floor, ring_floor = _DEN_FLOOR * scale, _RING_DEN_FLOOR * scale
+    ring_floor = _RING_DEN_FLOOR * scale
     sigma0 = float(qv @ qv)
     sigma = _clamp_variance(sigma0, "sigma trace", sigma0)
     sigma_trace = [sigma]
@@ -347,14 +358,20 @@ def _greedy_kernel(
     objective_trace: list[float] = []
     for step in range(n_select):
         best, objective = pick(step, kq, diag, slack)
+        den = float(diag[best]) + lam
+        skip = den < _DEN_FLOOR * diag0[best]
+        while skip and (kq[best] or diag[best]):
+            kq[best] = diag[best] = 0.0
+            best, objective = pick(step, kq, diag, slack)
+            den = float(diag[best]) + lam
+            skip = den < _DEN_FLOOR * diag0[best]
         order.append(best)
         objective_trace.append(objective)
-        den = float(diag[best]) + lam
-        if den < den_floor:
+        if skip:
             # The ring's slot for this step stays stale, and no repeat can
-            # read it: a skip needs λ′ < den_floor, and a row picked before
-            # has kept k(p,p) < λ′ since, so its repeat is skipped too,
-            # far below _RING_DEN_FLOOR.
+            # read it: a skip needs λ′ < _DEN_FLOOR·k0(p,p) ≤ _DEN_FLOOR·scale,
+            # and a row picked before has kept k(p,p) < λ′, up to round-off,
+            # since; so its denominator stays far below ring_floor.
             sigma_trace.append(sigma)
             continue
         root = math.sqrt(den)
@@ -539,8 +556,9 @@ def nn_select(
     def pick(step, kq, diag, slack):
         return slot[order[step]], score[order[step]]
 
+    X = candidates._take(rows)
     _, objective_trace, sigma_trace = _greedy_kernel(
-        candidates._take(rows), qv, n_select, cfg.lambda_prime, pick)
+        X, qv, n_select, cfg.lambda_prime, pick, np.einsum("ij,ij->i", X, X))
     return SelectionResult(
         order=tuple(order),
         objective_trace=tuple(objective_trace),

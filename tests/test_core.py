@@ -251,6 +251,20 @@ class TestSpdSolve:
         with pytest.raises(NumericalFailure):
             spd_solve(-np.eye(2), np.ones(2))
 
+    def test_a_jitter_that_would_bias_the_solution_raises(self):
+        """1e16·[[1, 1], [1, 1]] + 0.01·I is singular once rounded, and needs
+        jitter of about 2.2, far above the ridge 0.01. With rhs along the
+        small direction the jittered solution is off by a factor of 200:
+        given the ridge, spd_solve refuses it instead of returning it."""
+        mat = 1e16 * np.ones((2, 2)) + 0.01 * np.eye(2)
+        rhs = np.array([1.0, -1.0])
+        assert spd_solve(mat, rhs) @ rhs < 1.0  # the exact value is 200
+        with pytest.raises(NumericalFailure, match="jitter"):
+            spd_solve(mat, rhs, 0.01)
+        # along the large direction the same jitter moves nothing that counts
+        x = spd_solve(mat, np.ones(2), 0.01)
+        assert x @ np.ones(2) == pytest.approx(2 / (2e16 + 0.01), rel=1e-12)
+
     def test_jitter_scales_with_the_matrix(self):
         """Ten copies of one Gaussian row ×1e6 at λ′ = 0.01: with jitter
         rungs fixed at 1e-10 to 1e-6 the solve failed on 2 of these 50

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siftsel import EmbeddingSet, KernelConfig, nn_select, normalize_rows, preselect_candidates
@@ -86,6 +86,10 @@ def _reference(space: EmbeddingSet, q) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(-scores, kind="stable"), scores
 
 
+# one row near float32's maximum among rows of size 3: nn's 8 picks (fewer
+# than d) are factored through their Gram, and a pivot tolerance from the
+# largest row left the small rows out while the kernel conditioned on them
+@example(family="near_max", dtype=np.float32, normalized=False, d=9, K=9, frac=0.875, seed=0)
 @settings(max_examples=400, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), dtype=st.sampled_from([np.float32, np.float64]),
        normalized=st.booleans(), d=st.integers(1, 12), K=st.integers(1, 150),

@@ -158,6 +158,18 @@ class TestGreedyKernel:
             r = select(space, q, 20, cfg)
             assert all(first[bytes(space.data[p])] == p for p in r.order), seed
 
+    @staticmethod
+    def _check_against_direct(r, X, q, cfg):
+        """σ² within 1e-9·σ²₀ of posterior_variance at every prefix, and
+        sift's rule sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]."""
+        band = 1e-9 * float(q @ q)
+        direct = [posterior_variance(X[list(r.order[:i])], q, cfg)
+                  for i in range(len(r.order) + 1)]
+        np.testing.assert_allclose(r.sigma_trace, direct, rtol=0, atol=band)
+        if r.method == "sift":
+            np.testing.assert_allclose(np.diff(r.sigma_trace), -np.array(r.objective_trace),
+                                       rtol=0, atol=band)
+
     @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e8])
     @pytest.mark.parametrize("method", ["sift", "nn", "nn-f", "us"])
     def test_rows_far_from_unit_size(self, scale, method):
@@ -165,15 +177,47 @@ class TestGreedyKernel:
         times 1e6 once raised NumericalFailure on a diagonal of -1.2e-4.
         Times 1e8, λ′ = 0.01 is round-off once the picks span the rows; a
         pick whose denominator was then conditioned on threw the diagonals
-        to -1.5e10, and now adds nothing."""
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(300, 16)) * scale
-        q = rng.normal(size=16)
+        to -1.5e10, and now adds nothing. posterior_variance's jitter once
+        moved it by 2.1e-8·σ²₀ on four of these seeds, none of them seed 0."""
         cfg = KernelConfig()
-        space = EmbeddingSet(data=X)
-        r = TestSelectionResultInvariants._run(method, space, q, 20, cfg)
-        direct = [posterior_variance(X[list(r.order[:i])], q, cfg) for i in range(21)]
-        np.testing.assert_allclose(r.sigma_trace, direct, rtol=0, atol=1e-9 * float(q @ q))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(300, 16)) * scale
+            q = rng.normal(size=16)
+            r = TestSelectionResultInvariants._run(method, EmbeddingSet(data=X), q, 20, cfg)
+            self._check_against_direct(r, X, q, cfg)
+
+    @pytest.mark.parametrize("n", [20, 15])
+    @pytest.mark.parametrize("big", [1e7, 1e9])
+    @pytest.mark.parametrize("method", ["sift", "nn", "nn-f", "us"])
+    def test_a_large_row_among_unit_sized_rows(self, monkeypatch, method, big, n):
+        """One row big·e₁ among Gaussian rows of length about 4, unnormalized.
+        The round-off floor on a pick's denominator is the pick's own: a
+        floor from the largest starting diagonal, about 91 at 1e7, took
+        every fresh small row for round-off, so sift and us picked one row
+        again and again with σ² never reduced. nn's 15 picks, fewer than
+        d = 16, are factored through their Gram, whose pivoted Cholesky
+        dropped what the small rows add with a tolerance from the largest
+        row; σ² then stopped falling after the large row. The picks are
+        those of the step without the floor, and σ² follows
+        posterior_variance."""
+        cfg = KernelConfig()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(300, 16))
+            X[7] = 0.0
+            X[7, 0] = big
+            q = rng.normal(size=16)
+            q[0] = abs(q[0])  # nn's first pick is the large row
+            space = EmbeddingSet(data=X)
+            r = TestSelectionResultInvariants._run(method, space, q, n, cfg)
+            self._check_against_direct(r, X, q, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(selectors, "_DEN_FLOOR", 0.0)
+                unfloored = TestSelectionResultInvariants._run(method, space, q, n, cfg)
+            assert r.order == unfloored.order, seed
+            if method in ("us", "nn"):
+                assert r.order[0] == 7 and len(set(r.order)) == n, seed
 
     @pytest.mark.parametrize("ring", [False, True])
     @pytest.mark.parametrize("lam", [1e-12, 0.01, 1.0])
