@@ -12,8 +12,9 @@ form and its equivalent feature-space form, row normalization, and total
 variation distance.
 
 An EmbeddingSet stores its rows in the dtype they arrived in (float32 when
-read from a file) and, once normalized, the float64 norms it divides them
-by; its float64 matrix is built on first use. Every value that ranks, picks
+read from a file) and their float64 norms, taken by the file reader as it
+checks the rows or by normalize_rows, which divides by them; its float64
+matrix is built on first use. Every value that ranks, picks
 or is written is computed in 64-bit: float32 arithmetic serves only the
 scan in selectors that discards rows provably outside a top k. EmbeddingSet
 checks every row it is given. Arrays the package makes itself, by reading a
@@ -45,8 +46,14 @@ NEGATIVE_VARIANCE_TOL = 1e-9
 
 _ZERO_NORM_CUTOFF = 1e-12
 
-# Rows per block when norms are summed and stored rows are widened.
-_NORM_BLOCK = 4096
+# Values per block when rows are read and their norms summed, and the size
+# of the one float64 buffer they are squared in (4 MB: 4096 rows at d = 128).
+# Blocks of 2^16 values sum 100k×128 norms faster (20 against 26 ms), but
+# glibc raises its dynamic mmap threshold only to the largest block freed.
+# After a 512 KB buffer, a serving query's K-sized score arrays (0.8 MB at
+# 100k rows) came from fresh pages each time: 456 page faults, and about
+# 0.8 ms, a query.
+_BLOCK_VALUES = 2 ** 19
 
 # Diagonal bumps spd_solve tries in turn, as fractions of the matrix's mean
 # diagonal: a plain Cholesky first, then jitter from one ulp of the mean
@@ -73,6 +80,34 @@ def _check_finite(data: np.ndarray, first_row: int = 0) -> None:
         raise NonFiniteValue(first_row + int(r), int(c))
 
 
+def _block_rows(dim: int) -> int:
+    """Rows per block of _BLOCK_VALUES values at dimension `dim`, at least one."""
+    return max(1, _BLOCK_VALUES // max(dim, 1))
+
+
+def _norms_into(block: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+    """Write the float64 Euclidean norm of each row of `block` to `out`,
+    squaring the rows in `buf`, a float64 array of at least as many rows.
+    Each row is reduced alone by np.linalg.norm(axis=1)'s own sum of
+    squares, so the norms are its bytes. Call under np.errstate(over=,
+    invalid="ignore"): a sum of squares that overflows gives an infinite
+    norm, and a NaN a NaN one."""
+    b = buf[:block.shape[0]]
+    np.copyto(b, block)
+    np.multiply(b, b, out=b)
+    np.add.reduce(b, axis=1, out=out)
+    np.sqrt(out, out=out)
+
+
+def _check_finite_by_norms(rows: np.ndarray, norms: np.ndarray, first_row: int = 0) -> None:
+    """Raise NonFiniteValue at the first NaN or infinity of float32 `rows`,
+    given their float64 norms. A float32 square is below 2^256, so a row's
+    float64 sum of squares, and the sum of the norms, is finite exactly
+    when every value is; only then is the position looked up."""
+    if not math.isfinite(np.add.reduce(norms)):
+        _check_finite(rows, first_row)
+
+
 def _check_columns(data: np.ndarray) -> None:
     if data.ndim != 2 or data.shape[1] == 0:
         raise DimensionMismatch(
@@ -90,15 +125,17 @@ class EmbeddingSet:
 
     The rows are stored in the dtype they arrived in: float32 as read from
     a file, float64 from this constructor, which copies the caller's array
-    so later writes to it do not reach the set. A set made by
-    normalize_rows also keeps the float64 row norms it divides by. data is
-    built from the stored rows the first time it is used, as
+    so later writes to it do not reach the set. A set read from a file
+    also keeps the float64 norms of its stored rows, which the reader
+    computed as its finiteness check, so normalize_rows does not pass over
+    the rows again; a set made by normalize_rows keeps the norms it divides
+    by. data is built from the stored rows the first time it is used, as
     rows.astype(float64) / norms[:, None], and kept; preselect_candidates
     and nn_select scan the stored rows and never build it. The row space
     that irreducible_uncertainty finds is kept in _span the same way, and
     so are the squared norms of data's rows that the greedy kernel starts
     from, in _sq. A pickled set carries its rows and divisors, none of the
-    values computed from them.
+    values computed from them, the read-time norms included.
     """
 
     __slots__ = ("ids", "normalized", "source_rows", "_rows", "_div", "_norms", "_data",
@@ -122,29 +159,32 @@ class EmbeddingSet:
             norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise InvalidParameter("normalized flag set but some row norm deviates from 1")
-        self._fill(rows, ids, normalized, source_rows, None)
+        self._fill(rows, ids, normalized, source_rows, None, None)
 
-    def _fill(self, rows, ids, normalized, source_rows, div) -> None:
+    def _fill(self, rows, ids, normalized, source_rows, div, norms) -> None:
         rows.flags.writeable = False
         for name, value in (("ids", ids), ("normalized", normalized),
                             ("source_rows", source_rows), ("_rows", rows), ("_div", div),
-                            ("_norms", div), ("_data", None), ("_reach", None),
-                            ("_span", None), ("_sq", None)):
+                            ("_norms", div if norms is None else norms), ("_data", None),
+                            ("_reach", None), ("_span", None), ("_sq", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _certified(cls, rows: np.ndarray, ids=None, normalized: bool = False,
-                   source_rows=None, div: np.ndarray | None = None) -> EmbeddingSet:
+                   source_rows=None, div: np.ndarray | None = None,
+                   norms: np.ndarray | None = None) -> EmbeddingSet:
         """A set over an (n, d) C-contiguous float32 or float64 array that
         the package has just made and checked: finite, unit rows when
         `normalized` (rows / div when div is given, div being the rows'
         float64 norms, each at least 1e-12), and n-entry tuples of str ids
-        and int source rows when given. The set takes the array over and
-        freezes it, without a copy or a second check; only a dimension of 0
-        is refused."""
+        and int source rows when given. `norms`, when given, are the rows'
+        float64 norms as _sum_sq_norms computes them, kept for
+        _row_norms(). The set takes the arrays over and freezes the rows,
+        without a copy or a second check; only a dimension of 0 is
+        refused."""
         _check_columns(rows)
         e = object.__new__(cls)
-        e._fill(rows, ids, normalized, source_rows, div)
+        e._fill(rows, ids, normalized, source_rows, div, norms)
         return e
 
     def __setattr__(self, name, value):
@@ -163,15 +203,18 @@ class EmbeddingSet:
 
     @property
     def data(self) -> np.ndarray:
-        """The read-only (n, d) float64 matrix, built on first use."""
+        """The read-only (n, d) float64 matrix, built on first use. Each
+        value is widened, and divided, straight into the matrix: the bytes
+        of _widen, without its temporaries."""
         if self._data is None:
             if self._div is None and self._rows.dtype == np.float64:
                 data = self._rows
             else:
                 data = np.empty(self._rows.shape)
-                for start in range(0, self.rows, _NORM_BLOCK):
-                    block = slice(start, start + _NORM_BLOCK)
-                    data[block] = self._widen(self._rows[block], self._div, block)
+                if self._div is None:
+                    np.copyto(data, self._rows)
+                else:
+                    np.divide(self._rows, self._div[:, None], out=data, dtype=np.float64)
                 data.flags.writeable = False
             object.__setattr__(self, "_data", data)
         return self._data
@@ -199,8 +242,9 @@ class EmbeddingSet:
         return self._sq
 
     def _row_norms(self) -> np.ndarray:
-        """The float64 norms of the stored rows (before any division),
-        computed once and kept."""
+        """The float64 norms of the stored rows (before any division), as
+        _sum_sq_norms computes them: given by the file reader or
+        normalize_rows, else computed once and kept."""
         if self._norms is None:
             object.__setattr__(self, "_norms", _sum_sq_norms(self._rows))
         return self._norms
@@ -342,16 +386,20 @@ def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
 
 
 def _sum_sq_norms(rows: np.ndarray) -> np.ndarray:
-    """The float64 Euclidean norm of each row, by np.linalg.norm(axis=1)'s
-    own sum of squares taken a block of rows at a time: each row is reduced
-    alone, so the norms are the same bytes, without a squared copy of the
-    whole matrix (25 ms against 61 ms at 100k×128 on two cores). A sum of
-    squares that overflows float64 gives an infinite norm."""
-    norms = np.empty(rows.shape[0])
-    with np.errstate(over="ignore"):
-        for start in range(0, rows.shape[0], _NORM_BLOCK):
-            block = rows[start:start + _NORM_BLOCK].astype(np.float64)
-            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start:start + _NORM_BLOCK])
+    """The float64 Euclidean norm of each row, the bytes of
+    np.linalg.norm(rows.astype(float64), axis=1), through _norms_into a
+    block of _block_rows(d) rows at a time in one reused float64 buffer:
+    no squared copy of the matrix, and no temporary per block. A sum of
+    squares that overflows float64 gives an infinite norm. The file readers
+    compute the same norms as they read, so a set read from a file never
+    calls this."""
+    n, d = rows.shape
+    norms = np.empty(n)
+    step = _block_rows(d)
+    buf = np.empty((min(step, n), d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, step):
+            _norms_into(rows[start:start + step], norms[start:start + step], buf)
     return norms
 
 

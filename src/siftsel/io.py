@@ -44,7 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingSet, _check_finite
+from .core import (
+    EmbeddingSet,
+    _block_rows,
+    _check_finite_by_norms,
+    _norms_into,
+    _sum_sq_norms,
+)
 from .errors import (
     BadMagic,
     EmbeddingIOError,
@@ -57,9 +63,6 @@ from .selectors import SelectionResult
 MAGIC = b"SIFTEMB1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIII")  # magic, version, count, dim
-# Rows per read of a binary payload: a float32 block of 4096×128 is 2 MB,
-# small enough to check for finiteness while it is in cache.
-_READ_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,15 @@ def read_header(path) -> EmbeddingFileHeader:
         return _parse_header(path, fh.read(_HEADER.size))
 
 
-def _read_binary(path) -> np.ndarray:
-    """The float32 payload, read through one handle in blocks of
-    _READ_BLOCK rows straight into the array that is returned. The
-    payload's size is checked against the header before anything is
-    allocated, and each block is checked for finiteness while it is in
-    cache."""
+def _read_binary(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """The float32 payload and its rows' float64 norms (None at dimension
+    0, which the set refuses). The payload is read through one handle in
+    blocks of _block_rows(d) rows (2^19 values) straight into the array
+    that is returned. The payload's size is checked against the header
+    before anything is allocated. While a block is in cache, its rows'
+    norms are computed into one reused float64 buffer, and they are its
+    finiteness check: only a block whose norms do not sum to a finite
+    number is searched for the first NaN or infinity."""
     with open(path, "rb") as fh:
         header = _parse_header(path, fh.read(_HEADER.size))
         count, dim = header.count, header.dim
@@ -138,14 +144,20 @@ def _read_binary(path) -> np.ndarray:
             )
         data = np.empty((count, dim), dtype="<f4")
         if dim == 0:  # no payload to read; the set refuses dimension 0
-            return data
-        for start in range(0, count, _READ_BLOCK):
-            block = data[start:start + _READ_BLOCK]
-            got = fh.readinto(block)
-            if got != block.nbytes:  # the file shrank after fstat
-                raise TruncatedPayload(expected, start * dim * 4 + got)
-            _check_finite(block, first_row=start)
-    return data
+            return data, None
+        norms = np.empty(count)
+        step = _block_rows(dim)
+        buf = np.empty((min(step, count), dim))
+        # widening a signalling NaN raises the invalid flag; it is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, count, step):
+                block, out = data[start:start + step], norms[start:start + step]
+                got = fh.readinto(block)
+                if got != block.nbytes:  # the file shrank after fstat
+                    raise TruncatedPayload(expected, start * dim * 4 + got)
+                _norms_into(block, out, buf)
+                _check_finite_by_norms(block, out, first_row=start)
+    return data, norms
 
 
 # The one CSV value grammar: np.loadtxt's, for the whole file and for the
@@ -186,6 +198,8 @@ def _raise_first_bad_row(path, lines: list[str], has_ids: bool) -> None:
 
 
 def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """The float32 rows of a CSV file, not yet checked for finiteness, and
+    its id column, if any."""
     lines = [s for s in (line.strip() for line in _read_utf8(path).split("\n"))
              if s and not s.startswith("#")]
     has_ids = bool(lines) and lines[0].partition(",")[0].strip() == "id"
@@ -209,9 +223,7 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     # store at 32-bit precision like the binary format; a value beyond
     # float32's range becomes inf, which is refused like nan and inf
     with np.errstate(over="ignore"):
-        data32 = data.astype("<f4")
-    _check_finite(data32)
-    return data32, ids
+        return data.astype("<f4"), ids
 
 
 def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet:
@@ -222,17 +234,24 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
     the set's ids are None, and id_of and write_selection name row r by
     str(r). A non-finite value raises NonFiniteValue at its row and column,
     and a dimension of 0 raises DimensionMismatch. The values are checked
-    here, as they are read, so the set is built without a second pass.
+    here, as they are read, by one pass that computes each row's float64
+    norm: a float32 row's norm is finite exactly when its values are. The
+    set keeps those norms, so normalize_rows divides by them without a
+    second pass over the rows.
     """
     if format == "binary":
-        data, ids = _read_binary(path), None
+        (data, norms), ids = _read_binary(path), None
     elif format == "csv":
+        # checked once the text is freed, so its buffer does not add to the
+        # parse's peak memory
         data, ids = _read_csv(path)
+        norms = _sum_sq_norms(data)
+        _check_finite_by_norms(data, norms)
     else:
         raise EmbeddingIOError(f"unknown format {format!r} (expected 'binary' or 'csv')")
     if ids_path is not None:
         ids = _read_sidecar_ids(ids_path, data.shape[0])
-    return EmbeddingSet._certified(data, ids=ids)
+    return EmbeddingSet._certified(data, ids=ids, norms=norms)
 
 
 def write_embeddings(e: EmbeddingSet, path, format: str = "binary", ids_path=None) -> None:

@@ -158,9 +158,11 @@ def _rescore(rows: np.ndarray, qv: np.ndarray) -> np.ndarray:
         return np.add.reduce(rows * qv, axis=1)
 
 
-def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(space: EmbeddingSet, qv: np.ndarray,
+            k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first k rows of a stable argsort of −_rescore(space.data, qv),
-    and their scores, from one scan of the stored rows.
+    their scores and their float64 rows (the bytes of space.data[rows]),
+    from one scan of the stored rows.
 
     1. Scan: t = x·q̃ for every stored row x, in the storage dtype (an
        SGEMV for float32 rows), with q̃ the query rounded to that dtype;
@@ -174,7 +176,9 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np
        ŝ is finite, the k-th largest ŝ − E comes from one partition of ŝ.
     3. Rebuild the kept rows in float64, a block at a time.
     4. Rescore them with _rescore and take _top_k, which keeps ties in
-       index order, as the full stable sort does.
+       index order, as the full stable sort does. When the kept rows fit
+       one block, the top k's rows are taken from the rebuilt block rather
+       than rebuilt again.
 
     The bound, from Higham (Accuracy and Stability of Numerical
     Algorithms, §3.1): a length-d dot product in unit roundoff u errs by at
@@ -214,9 +218,11 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray, k: int) -> tuple[np.ndarray, np
     scores = np.empty(keep.size)
     for start in range(0, keep.size, _RESCORE_BLOCK):
         idx = keep[start:start + _RESCORE_BLOCK]
-        scores[start:start + idx.size] = _rescore(space._take(idx), qv)
+        X = space._take(idx)
+        scores[start:start + idx.size] = _rescore(X, qv)
     top = _top_k(scores, k)
-    return keep[top], scores[top]
+    picked = X[top] if keep.size <= _RESCORE_BLOCK else space._take(keep[top])
+    return keep[top], scores[top], picked
 
 
 def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
@@ -538,25 +544,26 @@ def nn_select(
     """
     qv = _validate_inputs(candidates, q, n_select)
     if failure_mode:
-        top, scores = _ranked(candidates, qv, 1)
+        top, scores, X = _ranked(candidates, qv, 1)
         order = [int(top[0])] * n_select
     else:
         if n_select > candidates.rows:
             raise NotEnoughCandidates(
                 f"{n_select} distinct rows requested, only {candidates.rows} exist"
             )
-        top, scores = _ranked(candidates, qv, n_select)
+        top, scores, X = _ranked(candidates, qv, n_select)
         order = top.tolist()
     score = dict(zip(top.tolist(), scores.tolist()))
 
-    # σ² depends on the picked rows alone, so only they are conditioned on
+    # σ² depends on the picked rows alone, so only they are conditioned on:
+    # top's rows, distinct, and in failure mode the first alone
     rows = list(dict.fromkeys(order))
+    X = X[:len(rows)]
     slot = {row: i for i, row in enumerate(rows)}
 
     def pick(step, kq, diag, slack):
         return slot[order[step]], score[order[step]]
 
-    X = candidates._take(rows)
     _, objective_trace, sigma_trace = _greedy_kernel(
         X, qv, n_select, cfg.lambda_prime, pick, np.einsum("ij,ij->i", X, X))
     return SelectionResult(
@@ -583,11 +590,11 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         raise NotEnoughCandidates(
             f"preselection of {k_pre} rows from a space of {space.rows}"
         )
-    top, _ = _ranked(space, qv, k_pre)
+    top, _, rows = _ranked(space, qv, k_pre)
     keep = top.tolist()
     prior = space.source_rows
     return EmbeddingSet._certified(
-        space._take(top),
+        rows,
         ids=None if space.ids is None else tuple(space.ids[i] for i in keep),
         normalized=space.normalized,
         source_rows=tuple(keep) if prior is None else tuple(prior[i] for i in keep),

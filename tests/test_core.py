@@ -27,7 +27,7 @@ from siftsel import (
     spd_solve,
     tv_distance,
 )
-from siftsel.core import _NORM_BLOCK, _clamp_variance
+from siftsel.core import _block_rows, _clamp_variance
 
 
 class TestEmbeddingSet:
@@ -123,8 +123,8 @@ class TestNormalizeRows:
         twice = normalize_rows(once)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-12)
 
-    @pytest.mark.parametrize("rows, dim", [(1, 3), (_NORM_BLOCK - 1, 128),
-                                           (2 * _NORM_BLOCK + 5, 37)])
+    @pytest.mark.parametrize("rows, dim", [(1, 3), (_block_rows(128) - 1, 128),
+                                           (2 * _block_rows(37) + 5, 37)])
     def test_rows_divide_by_numpy_norms_byte_for_byte(self, rows, dim):
         """Blocks of rows end in a partial block here; each row's sum of
         squares is reduced alone, as np.linalg.norm(axis=1) reduces it."""

@@ -3,10 +3,12 @@
 import io
 import json
 import os
+import pickle
 import re
 import string
 import struct
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +46,16 @@ MAGIC = b"SIFTEMB1"
 
 def make_binary(path, count, dim, payload: bytes, version=1, magic=MAGIC):
     path.write_bytes(magic + struct.pack("<III", version, count, dim) + payload)
+
+
+def write_rows(path, raw32: np.ndarray, fmt: str) -> None:
+    """Write float32 rows as a binary payload or as CSV lines whose values
+    parse back to the same float32 values."""
+    if fmt == "binary":
+        make_binary(path, *raw32.shape, raw32.astype("<f4").tobytes())
+    else:
+        path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                for row in raw32.astype(np.float64).tolist()))
 
 
 class TestBinaryFormat:
@@ -143,8 +155,24 @@ class TestBinaryFormat:
         assert (exc.value.row, exc.value.col) == (1, 1)
 
 
-_B = siftsel.io._READ_BLOCK
+# Values per block in the reader tests that span several blocks: small, so
+# their files stay small. test_reader_norms_at_the_production_block_size
+# and test_core's norm tests cover the block size the package uses.
+_TEST_BLOCK_VALUES = 2 ** 12
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(siftsel.core, "_BLOCK_VALUES", _TEST_BLOCK_VALUES)
+
+
+def _test_block_rows(dim: int) -> int:
+    return max(1, _TEST_BLOCK_VALUES // dim)
+
+
 _N_DIM = 3
+# rows per block the reader reads and checks at the dimension of these tests
+_B = _test_block_rows(_N_DIM)
 _N_ROWS = 2 * _B + 3
 # (row, col) of a non-finite value in a _N_ROWS×_N_DIM payload: the first
 # and last rows of each block, the last value of all, and seeded random places
@@ -154,6 +182,7 @@ _BAD_PLACES = [(0, 0), (_B - 1, 2), (_B, 0), (_B, 1), (2 * _B, 2), (_N_ROWS - 1,
                                      np.random.default_rng(8).integers(0, _N_DIM, 6))]
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestBlockReader:
     """The binary payload is read, checked and widened _B rows at a time;
     the result and the errors are those of reading it whole."""
@@ -162,14 +191,14 @@ class TestBlockReader:
     def test_equals_whole_payload_widened(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         # every finite float32 bit pattern is fair, subnormals and -0.0 too
-        values = rng.integers(0, 2**32, size=rows * 5, dtype=np.uint32).view("<f4")
+        values = rng.integers(0, 2**32, size=rows * _N_DIM, dtype=np.uint32).view("<f4")
         values[~np.isfinite(values)] = -0.0
         payload = values.tobytes()
         p = tmp_path / "emb.bin"
-        make_binary(p, rows, 5, payload)
+        make_binary(p, rows, _N_DIM, payload)
         back = read_embeddings(p)
-        want = np.frombuffer(payload, "<f4").astype(np.float64).reshape(rows, 5)
-        assert back.data.shape == (rows, 5)
+        want = np.frombuffer(payload, "<f4").astype(np.float64).reshape(rows, _N_DIM)
+        assert back.data.shape == (rows, _N_DIM)
         assert back.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -188,6 +217,33 @@ class TestBlockReader:
             read_embeddings(p)
         assert (exc.value.row, exc.value.col) == (row, col)
         assert str(exc.value) == f"non-finite value at row {row}, column {col}"
+
+    @pytest.mark.parametrize("row, col, bad", [
+        (r, c, (np.nan, np.inf, -np.inf)[i % 3]) for i, (r, c) in enumerate(_BAD_PLACES[:7])])
+    def test_first_non_finite_csv_value_is_located(self, tmp_path, row, col, bad):
+        """The CSV reader takes the same norms as its finiteness check, over
+        blocks of the same size, and names the same place."""
+        data = np.random.default_rng(row * _N_DIM + col).standard_normal((_N_ROWS, _N_DIM))
+        data[row, col] = bad
+        p = tmp_path / "emb.csv"
+        write_rows(p, data.astype("<f4"), "csv")
+        with pytest.raises(NonFiniteValue) as exc:
+            read_embeddings(p, format="csv")
+        assert (exc.value.row, exc.value.col) == (row, col)
+        assert str(exc.value) == f"non-finite value at row {row}, column {col}"
+
+    def test_signalling_nan_is_located_without_a_warning(self, tmp_path):
+        """Widening a signalling NaN to float64 raises NumPy's invalid flag;
+        the reader still names its place and warns of nothing."""
+        bits = np.ones((_N_ROWS, _N_DIM), "<f4").view("<u4")
+        bits[_B, 1] = 0x7F800001
+        p = tmp_path / "emb.bin"
+        make_binary(p, _N_ROWS, _N_DIM, bits.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                read_embeddings(p)
+        assert (exc.value.row, exc.value.col) == (_B, 1)
 
     @pytest.mark.parametrize("count, dim, payload, error, message", [
         (2, 2, b"\x00" * 12, TruncatedPayload, "payload truncated: expected 16 bytes, found 12"),
@@ -220,13 +276,14 @@ class TestBlockReader:
         """The size is taken from fstat before the payload is read; a file
         that is then shorter than the header promises is still refused."""
         p = tmp_path / "emb.bin"
-        make_binary(p, _B + 2, 2, b"\x00" * (_B + 1) * 8)
+        blk = siftsel.core._block_rows(2)  # the shrink shows in the second block
+        make_binary(p, blk + 2, 2, b"\x00" * (blk + 1) * 8)
         real = siftsel.io.os.fstat
         monkeypatch.setattr(siftsel.io.os, "fstat", lambda fd: SimpleNamespace(
             st_mode=real(fd).st_mode, st_size=real(fd).st_size + 8))
         with pytest.raises(TruncatedPayload) as exc:
             read_embeddings(p)
-        assert (exc.value.expected, exc.value.actual) == ((_B + 2) * 8, (_B + 1) * 8)
+        assert (exc.value.expected, exc.value.actual) == ((blk + 2) * 8, (blk + 1) * 8)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_refused_by_name(self):
@@ -239,6 +296,86 @@ class TestBlockReader:
                 read_embeddings(f"/dev/fd/{r}")
         finally:
             os.close(r)
+
+
+def _norm_cases():
+    for dim in (1, 3, 128, 1024):
+        b = _test_block_rows(dim)
+        for rows in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+            for fmt in ("binary", "csv"):
+                if rows or fmt == "binary":  # a CSV file holds at least one row
+                    yield pytest.param(fmt, dim, rows, id=f"{fmt}-d{dim}-n{rows}")
+
+
+def test_reader_norms_at_the_production_block_size(tmp_path):
+    b = siftsel.core._block_rows(128)
+    raw = np.random.default_rng(5).normal(size=(2 * b + 3, 128)).astype("<f4")
+    p = tmp_path / "e.bin"
+    write_rows(p, raw, "binary")
+    e = read_embeddings(p)
+    assert e._norms.tobytes() == np.linalg.norm(raw.astype(np.float64), axis=1).tobytes()
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReadTimeNorms:
+    """Both readers compute each row's float64 norm as they read, as their
+    finiteness check, and the set keeps them for normalize_rows."""
+
+    @pytest.mark.parametrize("fmt, dim, rows", list(_norm_cases()))
+    def test_norms_are_numpys_byte_for_byte(self, tmp_path, fmt, dim, rows):
+        rng = np.random.default_rng(rows * 7 + dim)
+        # every finite float32 bit pattern is fair, subnormals and -0.0 too
+        raw = rng.integers(0, 2**32, size=(rows, dim), dtype=np.uint32).view("<f4")
+        raw[~np.isfinite(raw)] = -0.0
+        p = tmp_path / f"e.{fmt}"
+        write_rows(p, raw, fmt)
+        e = read_embeddings(p, format=fmt)
+        want = np.linalg.norm(raw.astype(np.float64), axis=1)
+        assert e._norms is not None  # kept by the reader, not computed on demand
+        assert e._norms.dtype == np.float64
+        assert e._norms.tobytes() == want.tobytes()
+        assert e._row_norms() is e._norms
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_normalize_rows_divides_by_the_read_norms(self, tmp_path, monkeypatch, fmt):
+        rng = np.random.default_rng(31)
+        dim = 16
+        raw = rng.normal(size=(2 * siftsel.core._block_rows(dim) + 3, dim)).astype("<f4")
+        p = tmp_path / f"e.{fmt}"
+        write_rows(p, raw, fmt)
+        e = read_embeddings(p, format=fmt)
+        real, calls = siftsel.core._sum_sq_norms, []
+        monkeypatch.setattr(siftsel.core, "_sum_sq_norms",
+                            lambda rows: calls.append(rows.shape) or real(rows))
+        n = normalize_rows(e)
+        assert calls == []
+        assert n._div is e._norms
+        assert pickle.loads(pickle.dumps(e))._norms is None  # values computed from the rows stay
+        x = raw.astype(np.float64)
+        assert n.data.tobytes() == (x / np.linalg.norm(x, axis=1)[:, None]).tobytes()
+        # a set the caller builds has no read norms: they are computed once
+        normalize_rows(EmbeddingSet(data=raw))
+        assert calls == [raw.shape]
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("dim", [1, 3, 128, 1024])
+    def test_rows_of_float32_max_are_finite(self, tmp_path, fmt, dim):
+        """Squares of float32 values are far inside float64's range, so
+        rows of ±float32 max have finite norms: no warning, no false
+        NonFiniteValue, and unit rows once normalized."""
+        big = np.finfo(np.float32).max
+        rng = np.random.default_rng(dim)
+        rows = siftsel.core._block_rows(dim) + 1
+        raw = np.where(rng.random((rows, dim)) < 0.5, -big, big).astype("<f4")
+        p = tmp_path / f"e.{fmt}"
+        write_rows(p, raw, fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = read_embeddings(p, format=fmt)
+            data = normalize_rows(e).data
+        want = np.linalg.norm(raw.astype(np.float64), axis=1)
+        assert np.isfinite(e._norms).all() and e._norms.tobytes() == want.tobytes()
+        np.testing.assert_allclose(np.linalg.norm(data, axis=1), 1.0, rtol=1e-14)
 
 
 class TestCsvFormat:
@@ -526,11 +663,12 @@ class TestStoredRows:
         x = raw32.astype(np.float64)
         return x / np.linalg.norm(x, axis=1)[:, None] if normalize else x
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_data_is_the_widened_rows_byte_for_byte(self, tmp_path, fmt, normalize):
         rng = np.random.default_rng(11)
-        rows = 2 * _B + 7
+        rows = 2 * siftsel.core._block_rows(9) + 7
         raw = (rng.normal(size=(rows, 9)) * rng.uniform(1e-3, 1e3, size=(rows, 1))).astype("<f4")
         p = tmp_path / f"e.{fmt}"
         write_embeddings(EmbeddingSet(data=raw), p, format=fmt)

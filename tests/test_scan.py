@@ -169,11 +169,12 @@ def test_both_filter_branches_keep_the_same_rows(family, dtype, d, K, frac, seed
         return keep
 
     with mock.patch.object(selectors, "_survivors", both):
-        rows, scores = selectors._ranked(space, q, k)
+        rows, scores, X = selectors._ranked(space, q, k)
     with mock.patch.object(selectors, "_survivors", per_row):
-        rows_pr, scores_pr = selectors._ranked(space, q, k)
+        rows_pr, scores_pr, X_pr = selectors._ranked(space, q, k)
     assert calls
     assert rows.tobytes() == rows_pr.tobytes() and scores.tobytes() == scores_pr.tobytes()
+    assert X.tobytes() == X_pr.tobytes() == space.data[rows].tobytes()
 
 
 def test_survivors_are_few_on_gaussian_rows(monkeypatch):

@@ -451,6 +451,30 @@ class TestPreselect:
                 assert scores[ranked[9]] == scores[ranked[10]]
                 assert scores[ranked[2]] == scores[ranked[3]]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_rows_are_the_spaces_rows_past_one_rescore_block(self, monkeypatch, dtype):
+        """When more rows survive the filter than one rescoring block holds,
+        the top rows are rebuilt on their own; the pool and nn_select's σ
+        trace still come from the rows of space.data."""
+        rng = np.random.default_rng(21)
+        n = selectors._RESCORE_BLOCK + 900
+        data = np.repeat(unit_rows(rng, 1, 6), n, axis=0)  # every row ties, so all survive
+        data[::97] = unit_rows(rng, len(data[::97]), 6)
+        space = normalize_rows(EmbeddingSet._certified(data.astype(dtype)))
+        q = unit_vector(rng, 6)
+        kept, real = [], selectors._survivors
+        monkeypatch.setattr(selectors, "_survivors",
+                            lambda *a: kept.append(len(r := real(*a))) or r)
+        pool = preselect_candidates(space, q, 40)
+        assert kept[-1] > selectors._RESCORE_BLOCK
+        assert pool.data.tobytes() == space.data[list(pool.source_rows)].tobytes()
+        cfg = KernelConfig()
+        nn = nn_select(space, q, 8, cfg)
+        for i in range(1, 9):
+            picked = space.data[list(nn.order[:i])]
+            assert math.isclose(nn.sigma_trace[i], posterior_variance(picked, q, cfg),
+                                rel_tol=1e-9, abs_tol=1e-12)
+
     def test_errors(self, wspace, wquery):
         with pytest.raises(NotEnoughCandidates):
             preselect_candidates(wspace, wquery, 4)
