@@ -89,9 +89,9 @@ def _norms_into(block: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
     """Write the float64 Euclidean norm of each row of `block` to `out`,
     squaring the rows in `buf`, a float64 array of at least as many rows.
     Each row is reduced alone by np.linalg.norm(axis=1)'s own sum of
-    squares, so the norms are its bytes. Call under np.errstate(over=,
-    invalid="ignore"): a sum of squares that overflows gives an infinite
-    norm, and a NaN a NaN one."""
+    squares, so the norms are its bytes. Call under
+    np.errstate(over="ignore", invalid="ignore"): a sum of squares that
+    overflows gives an infinite norm, and a NaN a NaN one."""
     b = buf[:block.shape[0]]
     np.copyto(b, block)
     np.multiply(b, b, out=b)
