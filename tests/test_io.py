@@ -7,6 +7,9 @@ import pickle
 import re
 import string
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -42,6 +45,14 @@ from siftsel import (
 )
 
 MAGIC = b"SIFTEMB1"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """The binary reader joins every thread it starts, on error paths too."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def make_binary(path, count, dim, payload: bytes, version=1, magic=MAGIC):
@@ -182,6 +193,14 @@ _BAD_PLACES = [(0, 0), (_B - 1, 2), (_B, 0), (_B, 1), (2 * _B, 2), (_N_ROWS - 1,
                                      np.random.default_rng(8).integers(0, _N_DIM, 6))]
 
 
+def _random_rows(rows: int, dim: int, seed: int) -> np.ndarray:
+    """Every finite float32 bit pattern is fair, subnormals and -0.0 too."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2**32, size=(rows, dim), dtype=np.uint32).view("<f4")
+    raw[~np.isfinite(raw)] = -0.0
+    return raw
+
+
 @pytest.mark.usefixtures("small_blocks")
 class TestBlockReader:
     """The binary payload is read, checked and widened _B rows at a time;
@@ -189,11 +208,7 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
     def test_equals_whole_payload_widened(self, tmp_path, rows):
-        rng = np.random.default_rng(rows)
-        # every finite float32 bit pattern is fair, subnormals and -0.0 too
-        values = rng.integers(0, 2**32, size=rows * _N_DIM, dtype=np.uint32).view("<f4")
-        values[~np.isfinite(values)] = -0.0
-        payload = values.tobytes()
+        payload = _random_rows(rows, _N_DIM, seed=rows).tobytes()
         p = tmp_path / "emb.bin"
         make_binary(p, rows, _N_DIM, payload)
         back = read_embeddings(p)
@@ -272,9 +287,12 @@ class TestBlockReader:
         assert str(exc.value) == message.format(p=p)
         assert peak < 1 << 20
 
-    def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("preadv", [True, False], ids=["preadv", "seek-readinto"])
+    def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch, preadv):
         """The size is taken from fstat before the payload is read; a file
         that is then shorter than the header promises is still refused."""
+        if not preadv:
+            monkeypatch.delattr(os, "preadv", raising=False)
         p = tmp_path / "emb.bin"
         blk = siftsel.core._block_rows(2)  # the shrink shows in the second block
         make_binary(p, blk + 2, 2, b"\x00" * (blk + 1) * 8)
@@ -323,10 +341,7 @@ class TestReadTimeNorms:
 
     @pytest.mark.parametrize("fmt, dim, rows", list(_norm_cases()))
     def test_norms_are_numpys_byte_for_byte(self, tmp_path, fmt, dim, rows):
-        rng = np.random.default_rng(rows * 7 + dim)
-        # every finite float32 bit pattern is fair, subnormals and -0.0 too
-        raw = rng.integers(0, 2**32, size=(rows, dim), dtype=np.uint32).view("<f4")
-        raw[~np.isfinite(raw)] = -0.0
+        raw = _random_rows(rows, dim, seed=rows * 7 + dim)
         p = tmp_path / f"e.{fmt}"
         write_rows(p, raw, fmt)
         e = read_embeddings(p, format=fmt)
@@ -376,6 +391,237 @@ class TestReadTimeNorms:
         want = np.linalg.norm(raw.astype(np.float64), axis=1)
         assert np.isfinite(e._norms).all() and e._norms.tobytes() == want.tobytes()
         np.testing.assert_allclose(np.linalg.norm(data, axis=1), 1.0, rtol=1e-14)
+
+
+@pytest.fixture
+def read_threads(monkeypatch, small_blocks):
+    """force(w) makes the binary reader use min(w, blocks) threads on any
+    payload: w as the cap and as the CPU count, and no size floor."""
+    def force(w: int) -> None:
+        monkeypatch.setattr(siftsel.io, "_MAX_READ_THREADS", w)
+        monkeypatch.setattr(siftsel.io, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(siftsel.io, "_THREADED_MIN_VALUES", 0)
+    return force
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started during the test, in the order they started."""
+    started, real = [], threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def _assert_read_back(e, raw) -> None:
+    x = raw.astype(np.float64)
+    assert e.data.tobytes() == x.tobytes()
+    assert e._norms.tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+def _thread_cases():
+    for dim in (1, 3, 128):
+        b = _test_block_rows(dim)
+        for rows in (0, 1, b - 1, b, b + 1, 2 * b + 3, 7 * b + 1):
+            yield pytest.param(dim, rows, id=f"d{dim}-n{rows}")
+
+
+class TestThreadedReader:
+    """From 2^21 values the binary reader reads and checks its blocks on
+    up to four threads that claim them in turn. The rows, the norms and the
+    error are those of reading the blocks in order."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("dim, rows", list(_thread_cases()))
+    def test_rows_and_norms_are_the_sequential_readers(self, tmp_path, read_threads,
+                                                       thread_starts, w, dim, rows):
+        read_threads(w)
+        raw = _random_rows(rows, dim, seed=rows * 7 + dim)
+        p = tmp_path / "e.bin"
+        write_rows(p, raw, "binary")
+        _assert_read_back(read_embeddings(p), raw)
+        blocks = -(-rows // _test_block_rows(dim))
+        assert len(thread_starts) == max(1, min(w, blocks)) - 1
+
+    @pytest.mark.parametrize("w", [2, 3])
+    @pytest.mark.parametrize("first, later", [("nan", "nan"), ("nan", "truncated"),
+                                              ("truncated", "nan")])
+    def test_the_first_failing_block_is_named_when_a_later_one_fails_first(
+            self, tmp_path, monkeypatch, read_threads, w, first, later):
+        """Blocks 2 and 5 fail. Block 2 waits until block 5 has failed,
+        and its error is still the one raised: a NonFiniteValue at its own
+        (row, col), or a TruncatedPayload at its offset."""
+        read_threads(w)
+        dim, b = _N_DIM, _B
+        data = np.random.default_rng(3).standard_normal((7 * b + 1, dim)).astype("<f4")
+        for block, kind in ((2, first), (5, later)):
+            if kind == "nan":
+                data[block * b + 1, 1] = np.nan
+        p = tmp_path / "e.bin"
+        write_rows(p, data, "binary")
+        failed, order, read = threading.Event(), [], []
+
+        def block_of(offset: int) -> int:
+            return (offset - siftsel.io._HEADER.size) // (b * dim * 4)
+
+        def block_2_waits(block: int) -> None:
+            if block == 2:
+                assert failed.wait(10), "block 5 did not fail while block 2 waited"
+                time.sleep(0.05)  # until block 5's failure is recorded
+                order.append(2)
+
+        def block_5_failed(block: int) -> None:
+            if block == 5:
+                order.append(5)
+                failed.set()
+
+        real_check, real_preadv = siftsel.io._check_finite_by_norms, os.preadv
+
+        def check(rows, norms, first_row=0):
+            block = first_row // b
+            if first == "nan":
+                block_2_waits(block)
+            try:
+                real_check(rows, norms, first_row)
+            except NonFiniteValue:
+                block_5_failed(block)
+                raise
+
+        def preadv(fd, buffers, offset):
+            block = block_of(offset)
+            read.append(block)
+            if (block, first) == (2, "truncated"):
+                block_2_waits(block)
+                return 0
+            if (block, later) == (5, "truncated"):
+                block_5_failed(block)
+                return 0
+            return real_preadv(fd, buffers, offset)
+        monkeypatch.setattr(siftsel.io, "_check_finite_by_norms", check)
+        monkeypatch.setattr(siftsel.io.os, "preadv", preadv)
+
+        if first == "nan":
+            with pytest.raises(NonFiniteValue) as exc:
+                read_embeddings(p)
+            assert (exc.value.row, exc.value.col) == (2 * b + 1, 1)
+        else:
+            with pytest.raises(TruncatedPayload) as exc:
+                read_embeddings(p)
+            assert (exc.value.expected, exc.value.actual) == (data.nbytes, 2 * b * dim * 4)
+        assert order == [5, 2]
+        if w == 2:  # one thread waits in block 2, the other stops at block 5
+            assert max(read) == 5
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_short_reads_are_continued(self, tmp_path, monkeypatch, read_threads, w):
+        """os.preadv may return fewer bytes than asked; the reader asks again."""
+        read_threads(w)
+        raw = _random_rows(7 * _B + 1, _N_DIM, seed=w)
+        p = tmp_path / "e.bin"
+        write_rows(p, raw, "binary")
+        real, calls = os.preadv, []
+
+        def preadv(fd, buffers, offset):
+            calls.append(offset)
+            return real(fd, [buffers[0][:1000]], offset)
+        monkeypatch.setattr(siftsel.io.os, "preadv", preadv)
+        _assert_read_back(read_embeddings(p), raw)
+        block_bytes = [min(_B, len(raw) - s) * _N_DIM * 4 for s in range(0, len(raw), _B)]
+        assert len(calls) == sum(-(-n // 1000) for n in block_bytes)
+
+    def test_without_preadv_one_thread_seeks_and_reads(self, tmp_path, monkeypatch,
+                                                       read_threads, thread_starts):
+        read_threads(3)
+        monkeypatch.delattr(os, "preadv", raising=False)
+        raw = _random_rows(7 * _B + 1, _N_DIM, seed=9)
+        p = tmp_path / "e.bin"
+        write_rows(p, raw, "binary")
+        _assert_read_back(read_embeddings(p), raw)
+        assert thread_starts == []
+
+    def test_every_thread_reads_a_signalling_nan_without_a_warning(
+            self, tmp_path, monkeypatch, read_threads):
+        """NumPy's error state is per thread: each worker sets its own, so
+        widening a signalling NaN warns in none of them. The first block
+        waits until a worker has taken one."""
+        read_threads(2)
+        bits = np.ones((7 * _B + 1, _N_DIM), "<f4").view("<u4")
+        bits[::_B, 1] = 0x7F800001  # one in every block
+        p = tmp_path / "e.bin"
+        make_binary(p, *bits.shape, bits.tobytes())
+        real, worker_ran, readers = siftsel.io._norms_into, threading.Event(), set()
+
+        def norms_into(block, out, buf):
+            readers.add(threading.get_ident())
+            if threading.current_thread() is threading.main_thread():
+                assert worker_ran.wait(10)
+            else:
+                worker_ran.set()
+            real(block, out, buf)
+        monkeypatch.setattr(siftsel.io, "_norms_into", norms_into)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                read_embeddings(p)
+        assert (exc.value.row, exc.value.col) == (0, 1)
+        assert len(readers) == 2
+
+    def test_claims_under_fast_switching_read_each_block_once(self, tmp_path, monkeypatch,
+                                                               read_threads):
+        """More threads than cores, switching every microsecond: every
+        block is read and checked exactly once."""
+        read_threads(8)
+        rows = 64 * _B + 5
+        raw = _random_rows(rows, _N_DIM, seed=4)
+        p = tmp_path / "e.bin"
+        write_rows(p, raw, "binary")
+        real, checked = siftsel.io._check_finite_by_norms, []
+        monkeypatch.setattr(siftsel.io, "_check_finite_by_norms",
+                            lambda r, n, first_row=0: checked.append(first_row) or real(r, n, first_row))
+        # the threads read through the one descriptor whose size was checked
+        opened = []
+        monkeypatch.setattr(siftsel.io, "open", lambda *a, **k: opened.append(a) or open(*a, **k),
+                            raising=False)
+        monkeypatch.setattr(siftsel.io.os, "open", lambda *a, **k: opened.append(a) or None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            e = read_embeddings(p)
+        finally:
+            sys.setswitchinterval(interval)
+        assert opened == [(p, "rb")]
+        assert sorted(checked) == list(range(0, rows, _B))
+        _assert_read_back(e, raw)
+
+    @pytest.mark.parametrize("rows, dim", [(1, 128), (2**14 - 1, 128), (2**14, 128)],
+                             ids=["query", "below-floor", "at-floor"])
+    def test_threads_start_from_two_to_the_21_values(self, tmp_path, thread_starts, rows, dim):
+        """A query-sized file, and any below 2^21 values, starts no thread."""
+        raw = np.random.default_rng(rows).normal(size=(rows, dim)).astype("<f4")
+        p = tmp_path / "e.bin"
+        write_rows(p, raw, "binary")
+        _assert_read_back(read_embeddings(p), raw)
+        blocks = -(-rows // siftsel.core._block_rows(dim))
+        want = (min(4, siftsel.io._usable_cpus(), blocks) - 1 if rows * dim >= 2**21
+                and hasattr(os, "preadv") else 0)
+        assert len(thread_starts) == want
+
+    def test_thread_count_rule(self, monkeypatch):
+        floor, rule = 2**21, siftsel.io._read_threads
+        monkeypatch.setattr(siftsel.io, "_usable_cpus", lambda: 8)
+        assert (rule(floor - 1, 100), rule(floor, 100), rule(floor, 3)) == (1, 4, 3)
+        monkeypatch.setattr(siftsel.io, "_usable_cpus", lambda: 2)
+        assert rule(floor, 100) == 2
+        monkeypatch.delattr(os, "preadv", raising=False)
+        assert rule(floor, 100) == 1
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert siftsel.io._usable_cpus() == 6
 
 
 class TestCsvFormat:
