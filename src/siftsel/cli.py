@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--alpha", type=float, default=None,
                      help="enable adaptive stopping with this alpha")
     sel.add_argument("--n-max", type=int, default=None,
-                     help="hard cap for adaptive stopping (default: --n)")
+                     help="hard cap for adaptive stopping, with --alpha (default: --n)")
     sel.add_argument("--output", default=None, metavar="PATH",
                      help="write JSON Lines here instead of stdout")
 
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="submodularity probe trials (default: 64)")
     st.add_argument("--seed", type=int, default=0,
                     help="submodularity probe seed (default: 0)")
-    st.add_argument("--beta-n", type=int, nargs="*", default=None, metavar="N",
+    st.add_argument("--beta-n", type=int, nargs="+", default=None, metavar="N",
                     help="selection sizes to tabulate confidence widths for")
     st.add_argument("--delta", type=float, default=0.05,
                     help="failure probability for confidence widths (default: 0.05)")
@@ -138,6 +138,8 @@ def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelCo
 
 
 def _cmd_select(args) -> int:
+    if args.n_max is not None and args.alpha is None:
+        raise InputError("--n-max caps adaptive stopping and needs --alpha")
     space, q = _load_pair(args)
     cfg = KernelConfig(lambda_prime=args.lambda_prime)
     policy = None if args.alpha is None else StoppingPolicy(

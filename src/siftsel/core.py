@@ -339,6 +339,12 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarra
     matrix whose mean diagonal is not positive and finite is not positive
     definite, and gets the plain attempt alone.
 
+    Each rung factors the shifted matrix with np.linalg.cholesky and solves
+    through the factor, L y = rhs and then Lᵀ x = y. An LU solve of the
+    shifted matrix itself would call singular some matrices the Cholesky
+    accepts. The cost is O(n³): NumPy has no triangular solve, so each of
+    the two solves factors its triangle by LU.
+
     ridge is the regularizer mat carries on its diagonal, λ′ for a Gram
     plus λ′I, so every eigenvalue of the exact matrix is at least ridge.
     The jitter then moves rhs·x by j·x_exact·x ≤ j(1 + j/ridge)·x·x. When
@@ -346,10 +352,6 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarra
     _JITTER_BIAS·|rhs·x| raises NumericalFailure rather than return a
     biased value; a larger rung would only move it further.
     """
-    # imported here, not with the module: scipy.linalg is most of the time
-    # `import siftsel.cli` takes, and a default select never solves
-    import scipy.linalg
-
     mat = np.asarray(mat, dtype=np.float64)
     n = mat.shape[0]
     eye = np.eye(n)
@@ -357,11 +359,10 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarra
     ladder = _JITTER_LADDER if 0.0 < mean < math.inf else _JITTER_LADDER[:1]
     for j in ladder:
         try:
-            c, low = scipy.linalg.cho_factor(mat + j * mean * eye, lower=True,
-                                             check_finite=False)
-        except scipy.linalg.LinAlgError:
+            L = np.linalg.cholesky(mat + j * mean * eye)
+        except np.linalg.LinAlgError:
             continue
-        x = scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+        x = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         jit = j * mean
         if jit and ridge > 0.0:
             bound = jit * (1.0 + jit / ridge) * float(np.vdot(x, x))

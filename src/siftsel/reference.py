@@ -144,6 +144,33 @@ def irreducible_uncertainty_oracle(space: EmbeddingSet, q) -> float:
     return max(float(q @ q) - float(coeffs @ coeffs), 0.0)
 
 
+def lambda_min_oracle(space: EmbeddingSet) -> float:
+    """data_space_lambda_min by modified Gram–Schmidt with exact residuals:
+    every step orthogonalizes all remaining rows against the new direction
+    and takes the largest residual² from the residual rows themselves, until
+    none exceeds (1e-10·max‖x‖)². Returns σ_min² of the basis rows, from an
+    SVD of those rows."""
+    if space.rows == 0:
+        raise InvalidParameter("space must be non-empty")
+    rows = space.data
+    resid = rows.copy()
+    tol = (_RANK_CUTOFF * max(np.linalg.norm(x) for x in rows)) ** 2
+    piv: list[int] = []
+    while len(piv) < min(rows.shape):
+        norms_sq = np.array([float(np.dot(r, r)) for r in resid])
+        norms_sq[piv] = -np.inf
+        p = int(np.argmax(norms_sq))
+        if not norms_sq[p] > tol:
+            break
+        piv.append(p)
+        direction = resid[p] / np.sqrt(norms_sq[p])
+        for i in range(len(resid)):
+            resid[i] -= float(np.dot(resid[i], direction)) * direction
+    if not piv:
+        raise InvalidParameter("data space has rank zero")
+    return float(np.linalg.svd(rows[piv], compute_uv=False)[-1] ** 2)
+
+
 def compare_runs(oracle: SelectionResult, other: SelectionResult) -> OracleReport:
     """Per-step deviations between an oracle run and an optimized run."""
     n = min(len(oracle.sigma_trace), len(other.sigma_trace))

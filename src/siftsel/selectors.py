@@ -246,37 +246,21 @@ def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
 
 
 def _candidate_factor(X: np.ndarray) -> np.ndarray:
-    """A K×r matrix Z with ZZᵀ = XXᵀ and r ≤ min(K, d).
+    """A K×r matrix Z with ZZᵀ = XXᵀ and r = min(K, d).
 
-    With at least as many rows as dimensions the rows serve as they are, and
-    a single row is its norm. Otherwise a pivoted Cholesky of the K×K Gram
-    keeps r ≤ K, so the greedy state stays K×K when d is large (a small pool
-    of wide embeddings). Pivots below K·u·min‖x‖² end the factor, so rows
-    that depend on the others to working precision add no column. Each
-    entry of the Gram errs by about d·u·‖x_i‖‖x_j‖, relative to its own
-    rows, so the tolerance comes from the shortest row. LAPACK's default,
-    K·u·max‖x‖², dropped what rows 1e9 times shorter than the longest
-    add, and the kernel then lost them: σ² stopped falling, or went below
-    zero. The Gram comes from SciPy's BLAS, like the
-    factorization: NumPy links its own OpenBLAS, whose threads still spin
-    after a NumPy product and made the factorization 15× slower on two cores
-    (200×1024 rows).
+    With at least as many rows as dimensions the rows serve as they are.
+    Otherwise Z is Rᵀ from the Householder QR of Xᵀ, a K×K lower triangle,
+    so the greedy state stays K×K when d is large (a small pool of wide
+    embeddings). The QR never forms the Gram, and it is backward stable
+    column by column: every row of Z keeps its own relative accuracy, so a
+    row 1e9 times shorter than the longest keeps what it adds. Rows that
+    depend on the others leave round-off columns, which the kernel's λ′ > 0
+    absorbs. Cost O(dK²).
     """
     K, d = X.shape
     if K >= d:
         return X
-    if K == 1:
-        return np.array([[math.sqrt(float(X[0] @ X[0]))]])
-    # imported here, not with the module: scipy.linalg is most of the time
-    # `import siftsel.cli` takes, and only this branch uses it
-    from scipy.linalg.blas import dsyrk
-    from scipy.linalg.lapack import dpstrf
-
-    G = dsyrk(1.0, X.T, trans=1)
-    c, piv, rank, _ = dpstrf(G, tol=K * 2.0 ** -53 * G.diagonal().min(), overwrite_a=1)
-    Z = np.empty((K, rank))
-    Z[piv - 1] = np.triu(c[:rank]).T
-    return Z
+    return np.linalg.qr(X.T, mode="r").T
 
 
 def _ring_size(K: int, r: int, n_select: int) -> int:

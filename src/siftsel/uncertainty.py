@@ -27,6 +27,12 @@ from .selectors import SelectionResult
 # round-off when computing spans.
 _RANK_CUTOFF = 1e-10
 
+# data_space_lambda_min recomputes a downdated residual² once it has fallen
+# to this fraction of its last exact value: LAPACK dgeqp3's rule (Drmač &
+# Bujanović 2008, "On the failure of rank-revealing QR factorization
+# software"), below which the downdate's cancellation leaves no digits.
+_DOWNDATE_FLOOR = 2.0 ** -26
+
 # Margin, in units of the Gram's round-off, above which η² skips the SVD.
 _SPAN_CERTIFICATE = 10.0
 
@@ -194,9 +200,7 @@ def _row_space(data: np.ndarray) -> np.ndarray | None:
         # 4.4e-8, far above the 1e-10 rank cutoff, so the rows span ℝ^d and
         # nothing of q lies outside their span. Rank-deficient or nearly
         # deficient rows fail it and take the SVD, the only correct path
-        # for them. NumPy's Cholesky, not SciPy's: SciPy's LAPACK, run
-        # right after a NumPy product, waits on NumPy's spinning BLAS
-        # threads (after a 100k×128 scan, 24 ms against 7 ms on two cores).
+        # for them.
         tau = _SPAN_CERTIFICATE * K * d * np.finfo(np.float64).eps * np.trace(gram)
         gram.flat[::d + 1] -= tau
         try:
@@ -212,23 +216,57 @@ def _row_space(data: np.ndarray) -> np.ndarray | None:
 def data_space_lambda_min(space: EmbeddingSet) -> float:
     """Smallest eigenvalue of ΦΦᵀ for a basis Φ extracted from the data rows.
 
-    The basis is chosen by pivoted QR on the row space (rank cutoff 1e-10
-    relative), so the returned value is strictly positive.
+    The basis rows are chosen by column-pivoted Gram–Schmidt on the rows.
+    Each step takes the row with the largest residual², orthogonalizes it
+    against the basis so far twice, and downdates every residual² by one
+    GEMV of the rows with the new direction. A downdated residual² that
+    falls to _DOWNDATE_FLOOR of its last exact value, or below, is
+    recomputed exactly from its row. A row whose residual² is at or below
+    (1e-10·max‖x‖)² is dropped for good. The result is σ_min² of the
+    basis rows' coordinates in the basis directions, from an SVD of that
+    rank×rank matrix, not the eigenvalues of their Gram: the Gram squares
+    the condition number, and round-off then gave values at or below zero.
+    Every basis row keeps a residual above the cutoff, so the returned
+    value is strictly positive.
+
+    Cost: rank steps, each O(K·d) for the GEMV, plus O(K·d·rank) at most
+    for the exact recomputes and O(rank³) for the SVD.
     """
     if space.rows == 0:
         raise InvalidParameter("space must be non-empty")
-    # imported here, not with the module: scipy.linalg is most of the time
-    # `import siftsel.cli` takes, and a default select never needs it
-    import scipy.linalg
-
-    _, r_mat, piv = scipy.linalg.qr(space.data.T, pivoting=True, mode="economic")
-    diag = np.abs(np.diag(r_mat))
-    if diag.size == 0 or diag[0] <= 0:
+    X = space.data
+    K, d = X.shape
+    res = np.einsum("ij,ij->i", X, X)
+    last = res.copy()  # each row's residual² when last computed exactly
+    tol = _RANK_CUTOFF ** 2 * float(res.max())
+    res[res <= tol] = -np.inf  # dropped rows, and picked ones
+    Q = np.empty((min(K, d), d))
+    piv: list[int] = []
+    while len(piv) < len(Q):
+        p = int(np.argmax(res))
+        if res[p] == -np.inf:
+            break
+        k = len(piv)
+        v = X[p].copy()
+        for _ in range(2):
+            v -= Q[:k].T @ (Q[:k] @ v)
+        Q[k] = v / np.linalg.norm(v)
+        piv.append(p)
+        res[p] = -np.inf
+        if k + 1 == len(Q):
+            break
+        c = X @ Q[k]
+        res -= c * c
+        stale = np.flatnonzero((res <= _DOWNDATE_FLOOR * last) & (res > -np.inf))
+        if stale.size:
+            rows = X[stale]
+            rows -= (rows @ Q[:k + 1].T) @ Q[:k + 1]
+            res[stale] = last[stale] = np.einsum("ij,ij->i", rows, rows)
+        res[res <= tol] = -np.inf
+    if not piv:
         raise InvalidParameter("data space has rank zero")
-    rank = int(np.sum(diag > _RANK_CUTOFF * diag[0]))
-    basis = space.data[piv[:rank]]
-    eigs = np.linalg.eigvalsh(basis @ basis.T)
-    return float(eigs[0])
+    coords = X[piv] @ Q[:len(piv)].T
+    return float(np.linalg.svd(coords, compute_uv=False)[-1] ** 2)
 
 
 def selected_gram_lambda_hat(selected) -> float:

@@ -297,6 +297,23 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("siftsel: ")
         assert str(bad) in lines[0] and f"offset {offset}" in lines[0]
 
+    def test_n_max_without_alpha_exits_2(self, wfiles, capsys):
+        """--n-max caps adaptive stopping; without --alpha there is none to
+        cap, and all --n rows came back."""
+        emb, qry = wfiles
+        assert main(["select", emb, qry, "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-max" in captured.err and "--alpha" in captured.err
+
+    def test_beta_n_without_values_is_an_argparse_error(self, wfiles, capsys):
+        """An empty --beta-n printed no confidence table and exited 0."""
+        emb, qry = wfiles
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", emb, qry, "--beta-n"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_unknown_method_is_an_argparse_error(self, wfiles):
         emb, qry = wfiles
         with pytest.raises(SystemExit) as exc:
@@ -356,6 +373,25 @@ class TestStats:
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["submodularity_probe"]["trials"] == 16
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_beta_n_on_rows_just_off_a_subspace(self, tmp_path, capsys, seed):
+        """Rank-4 rows in ℝ^16, one moved off their span by 1e-9 of the
+        largest norm, stored in float32: λ_min is about 1e-16 of the largest
+        norm². The eigenvalues of the basis rows' Gram put it at or below
+        zero, and stats exited 2 on a bad lambda_min."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 4)) @ rng.normal(size=(4, 16))
+        span = np.linalg.qr(X.T)[0][:, :4]
+        u = rng.normal(size=16)
+        u -= span @ (span.T @ u)
+        X[0] += 1e-9 * np.linalg.norm(X, axis=1).max() * u / np.linalg.norm(u)
+        emb, qry = tmp_path / "e.bin", tmp_path / "q.bin"
+        write_embeddings(EmbeddingSet(data=X), emb)
+        write_embeddings(EmbeddingSet(data=X[1:2]), qry)
+        assert main(["stats", str(emb), str(qry), "--beta-n", "5", "--no-normalize"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["confidence"]
+        assert 0 < row["convergence_bound"] < np.inf
+
     def test_no_normalize_keeps_raw_scale(self, tmp_path, capsys):
         emb = tmp_path / "e.bin"
         qry = tmp_path / "q.bin"
@@ -377,35 +413,45 @@ def _fresh_python(code: str) -> list[str]:
     return proc.stdout.split()
 
 
-def test_import_and_a_default_select_leave_scipy_unloaded(tmp_path):
-    """SciPy is imported by the functions that use it, not with the package:
-    importing siftsel.cli and a default select on a pool with at least as
-    many rows as dimensions never need it."""
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    """siftsel needs NumPy alone. With `import scipy` made to fail, every
+    selector runs on a pool with at least as many rows as dimensions and
+    on one with fewer, as do --alpha, stats with and without --beta-n, and
+    the library's σ² and λ_min."""
     rng = np.random.default_rng(0)
-    emb, qry, out = tmp_path / "e.bin", tmp_path / "q.bin", tmp_path / "out.jsonl"
-    write_embeddings(EmbeddingSet(data=rng.normal(size=(300, 8))), emb)
-    write_embeddings(EmbeddingSet(data=rng.normal(size=(1, 8))), qry)
+    qry, out = tmp_path / "q.bin", tmp_path / "out.jsonl"
+    write_embeddings(EmbeddingSet(data=rng.normal(size=(1, 64))), qry)
+    pools = []
+    for K in (300, 40):
+        pools.append(tmp_path / f"e{K}.bin")
+        write_embeddings(EmbeddingSet(data=rng.normal(size=(K, 64))), pools[-1])
+    runs = [["select", str(emb), str(qry), "--n", "20", "--output", str(out), *extra]
+            for emb in pools
+            for extra in (*(["--method", m] for m in siftsel.cli.METHODS), ["--alpha", "1"])]
+    runs += [["stats", str(emb), str(qry), *extra]
+             for emb in pools for extra in ([], ["--beta-n", "5", "50"])]
     code = (
-        "import sys\n"
-        "import siftsel.cli\n"
-        "loaded = 'scipy' in sys.modules\n"
-        f"rc = siftsel.cli.main(['select', {str(emb)!r}, {str(qry)!r}, '--output', {str(out)!r}])\n"
-        "print(loaded, rc, 'scipy' in sys.modules)\n"
-    )
-    assert _fresh_python(code) == ["False", "0", "False"]
-    assert len(out.read_text().splitlines()) == 51
-
-
-def test_nn_failure_mode_leaves_scipy_unloaded():
-    """nn-f conditions on one row, fewer rows than dimensions, which a
-    pivoted Cholesky from SciPy would factor; one row is its own factor."""
-    code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
-        "from siftsel import EmbeddingSet, KernelConfig, nn_select\n"
-        "rng = np.random.default_rng(0)\n"
-        "space = EmbeddingSet(data=rng.normal(size=(300, 16)))\n"
-        "r = nn_select(space, rng.normal(size=16), 5, KernelConfig(), failure_mode=True)\n"
-        "print(len(set(r.order)), 'scipy' in sys.modules)\n"
+        "import siftsel.cli\n"
+        "from siftsel import (EmbeddingSet, KernelConfig, data_space_lambda_min,\n"
+        "                     posterior_variance, posterior_variance_feature_space)\n"
+        "codes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(siftsel.cli.main(argv))\n"
+        "rng = np.random.default_rng(1)\n"
+        "for K in (300, 40):\n"
+        "    X, q = rng.normal(size=(K, 64)), rng.normal(size=64)\n"
+        "    values = [posterior_variance(X, q, KernelConfig()),\n"
+        "              posterior_variance_feature_space(X, q, KernelConfig()),\n"
+        "              data_space_lambda_min(EmbeddingSet(data=X))]\n"
+        "    codes.append(int(all(v > 0 for v in values)))\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    codes.append('blocked')\n"
+        "print(*codes)\n"
     )
-    assert _fresh_python(code) == ["1", "False"]
+    assert _fresh_python(code) == ["0"] * len(runs) + ["1", "1", "blocked"]

@@ -946,9 +946,6 @@ class TestStoredRows:
         if normalize:
             e = normalize_rows(e)
         q = rng.normal(size=d)
-        # σ traces over fewer rows than dimensions factor them with SciPy;
-        # its import is not the scan's memory
-        import scipy.linalg  # noqa: F401
         tracemalloc.start()
         try:
             pool = preselect_candidates(e, q, 200)

@@ -13,10 +13,12 @@ from siftsel import (
     InvalidParameter,
     KernelConfig,
     compare_runs,
+    data_space_lambda_min,
     exhaustive_optimum,
     greedy_direct_oracle,
     irreducible_uncertainty,
     irreducible_uncertainty_oracle,
+    lambda_min_oracle,
     nn_insufficiency_instance,
     sift_select,
     uncertainty_reduction,
@@ -195,6 +197,58 @@ class TestIrreducibleUncertaintyOracle:
         space, q = _eta_case(family, seed)
         assert irreducible_uncertainty(space, q) == pytest.approx(
             irreducible_uncertainty_oracle(space, q), rel=0, abs=1e-12)
+
+
+def _lambda_min_case(family, seed):
+    """Rows for the λ_min cross-check. off-span: rank-k rows in ℝ^d with one
+    row moved off their span by 10^-9.5 to 10^-8 of the largest norm, so
+    the basis is k + 1 rows with σ_min² near 1e-18 of the largest norm².
+    duplicate-heavy: up to d distinct rows, each repeated, the whole set
+    ×1e-6, ×1 or ×1e6. scaled-rows: Gaussian rows, each ×1e-6, ×1 or ×1e6."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 17))
+    if family == "off-span":
+        d = max(d, 4)
+        k = int(rng.integers(1, d))
+        X = rng.normal(size=(int(rng.integers(k + 2, 60)), k)) @ rng.normal(size=(k, d))
+        span = np.linalg.qr(X.T)[0][:, :k]
+        u = rng.normal(size=d)
+        u -= span @ (span.T @ u)
+        row = int(rng.integers(0, len(X)))
+        X[row] += 10.0 ** -rng.uniform(8, 9.5) * np.linalg.norm(X, axis=1).max() \
+            * u / np.linalg.norm(u)
+    elif family == "duplicate-heavy":
+        base = rng.normal(size=(int(rng.integers(1, d + 1)), d))
+        X = base[rng.integers(0, len(base), size=int(rng.integers(len(base), 60)))]
+        X = X * 10.0 ** rng.choice([-6.0, 0.0, 6.0])
+    else:
+        K = int(rng.integers(2, 60))
+        X = rng.normal(size=(K, d)) * 10.0 ** rng.choice([-6.0, 0.0, 6.0], size=(K, 1))
+    return EmbeddingSet(data=X)
+
+
+class TestLambdaMinOracle:
+    def test_worked_values(self):
+        assert lambda_min_oracle(EmbeddingSet(data=np.diag([3.0, 2.0]))) == pytest.approx(4.0)
+        dup = EmbeddingSet(data=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert lambda_min_oracle(dup) == pytest.approx(1.0)
+        # the second row's residual, 1e-12, is below 1e-10 of the largest norm
+        tiny = EmbeddingSet(data=np.array([[1.0, 0.0], [1.0, 1e-12]]))
+        assert lambda_min_oracle(tiny) == pytest.approx(1.0)
+        for empty in (np.empty((0, 2)), np.zeros((3, 2))):
+            with pytest.raises(InvalidParameter):
+                lambda_min_oracle(EmbeddingSet(data=empty))
+
+    @pytest.mark.parametrize("family", ["off-span", "duplicate-heavy", "scaled-rows"])
+    def test_matches_the_shipped_lambda_min(self, family):
+        """data_space_lambda_min is strictly positive and within 1e-5 of the
+        oracle. On off-span rows the eigenvalues of the basis rows' Gram were
+        round-off, at or below zero on about half of these seeds."""
+        for seed in range(200):
+            space = _lambda_min_case(family, seed)
+            lam = data_space_lambda_min(space)
+            assert lam > 0.0
+            assert lam == pytest.approx(lambda_min_oracle(space), rel=1e-5), seed
 
 
 class TestInsufficiencyInstance:

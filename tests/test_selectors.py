@@ -196,9 +196,10 @@ class TestGreedyKernel:
         floor from the largest starting diagonal, about 91 at 1e7, took
         every fresh small row for round-off, so sift and us picked one row
         again and again with σ² never reduced. nn's 15 picks, fewer than
-        d = 16, are factored through their Gram, whose pivoted Cholesky
-        dropped what the small rows add with a tolerance from the largest
-        row; σ² then stopped falling after the large row. The picks are
+        d = 16, take the K < d factor, which must keep what the small rows
+        add: a pivoted Cholesky of their Gram with a tolerance from the
+        largest row dropped it, and σ² then stopped falling after the large
+        row. The picks are
         those of the step without the floor, and σ² follows
         posterior_variance."""
         cfg = KernelConfig()
