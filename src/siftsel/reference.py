@@ -17,7 +17,7 @@ import numpy as np
 from .core import EmbeddingSet, KernelConfig
 from .errors import InstanceTooLarge, InvalidParameter, check_param
 from .selectors import SelectionResult
-from .uncertainty import _RANK_CUTOFF
+from .uncertainty import _PIVOT_TIE, _RANK_CUTOFF
 
 # Enumeration limits for the exhaustive optimum.
 _MAX_EXHAUSTIVE_CANDIDATES = 7
@@ -148,20 +148,22 @@ def lambda_min_oracle(space: EmbeddingSet) -> float:
     """data_space_lambda_min by modified Gram–Schmidt with exact residuals:
     every step orthogonalizes all remaining rows against the new direction
     and takes the largest residual² from the residual rows themselves, until
-    none exceeds (1e-10·max‖x‖)². Returns σ_min² of the basis rows, from an
-    SVD of those rows."""
+    none exceeds (1e-10·max‖x‖)². Ties go to the smallest index within the
+    shipped code's margin, _PIVOT_TIE·d·ε relative to the largest. Returns
+    σ_min² of the basis rows, from an SVD of those rows."""
     if space.rows == 0:
         raise InvalidParameter("space must be non-empty")
     rows = space.data
     resid = rows.copy()
     tol = (_RANK_CUTOFF * max(np.linalg.norm(x) for x in rows)) ** 2
+    near = 1.0 - _PIVOT_TIE * rows.shape[1] * float(np.finfo(np.float64).eps)
     piv: list[int] = []
     while len(piv) < min(rows.shape):
         norms_sq = np.array([float(np.dot(r, r)) for r in resid])
         norms_sq[piv] = -np.inf
-        p = int(np.argmax(norms_sq))
-        if not norms_sq[p] > tol:
+        if not norms_sq.max() > tol:
             break
+        p = int(np.flatnonzero(norms_sq >= norms_sq.max() * near)[0])
         piv.append(p)
         direction = resid[p] / np.sqrt(norms_sq[p])
         for i in range(len(resid)):

@@ -245,22 +245,24 @@ def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
     return np.flatnonzero(~(s + E < kth) | bad)
 
 
-def _candidate_factor(X: np.ndarray) -> np.ndarray:
-    """A K×r matrix Z with ZZᵀ = XXᵀ and r = min(K, d).
+def _candidate_factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A K×r matrix Z and an r×r matrix A₀ with Z A₀ Zᵀ = XXᵀ, r = min(K, d),
+    and A₀ None standing for I.
 
     With at least as many rows as dimensions the rows serve as they are.
-    Otherwise Z is Rᵀ from the Householder QR of Xᵀ, a K×K lower triangle,
-    so the greedy state stays K×K when d is large (a small pool of wide
-    embeddings). The QR never forms the Gram, and it is backward stable
-    column by column: every row of Z keeps its own relative accuracy, so a
-    row 1e9 times shorter than the longest keeps what it adds. Rows that
-    depend on the others leave round-off columns, which the kernel's λ′ > 0
-    absorbs. Cost O(dK²).
+    Otherwise Z is the K×K identity and A₀ the Gram XXᵀ, so the greedy
+    state stays K×K when d is large (a small pool of wide embeddings) and
+    the kernel conditions the Gram itself. Nothing is factored, so rows that
+    depend on the others need no rank decision: their conditional entries
+    fall to round-off, which the kernel's λ′ > 0 absorbs. Each entry of the
+    Gram errs by about d·u·‖x_i‖‖x_j‖, relative to its own rows, and so do
+    the kernel's updates, so a row 1e9 times shorter than the longest keeps
+    what it adds. Cost O(dK²), one symmetric rank-K product.
     """
     K, d = X.shape
     if K >= d:
-        return X
-    return np.linalg.qr(X.T, mode="r").T
+        return X, None
+    return np.eye(K), X @ X.T
 
 
 def _ring_size(K: int, r: int, n_select: int) -> int:
@@ -287,8 +289,9 @@ def _greedy_kernel(
     """The exact greedy conditioning loop behind every selector.
 
     The conditional kernel among candidates is z_iᵀ A z_j, for the rows z_i
-    of a factor Z of XXᵀ (see _candidate_factor) and an r×r matrix A that
-    starts at I. k(q,·) and k(·,·) are tracked as K-vectors from the raw rows
+    of a K×r matrix Z and an r×r matrix A that starts at A₀, with
+    Z A₀ Zᵀ = XXᵀ (see _candidate_factor): the rows and I, or I and the
+    Gram. k(q,·) and k(·,·) are tracked as K-vectors from the raw rows
     and query, so q is never expressed in Z's coordinates. Observing row p
     with noise λ′ maps every entry to
     k′(x,y) = k(x,y) − k(x,p)·k(p,y)/(k(p,p)+λ′); with w = A z_p/√(k(p,p)+λ′)
@@ -327,9 +330,8 @@ def _greedy_kernel(
     starting value when that exceeds 1, so rows and queries far from unit
     size are held to the same relative standard.
     """
-    Z = _candidate_factor(X)
+    Z, A = _candidate_factor(X)  # A None is I until the first fold
     K, r = Z.shape
-    A = None  # I until the first fold
     W = np.empty((_FOLD_EVERY, r))
     m = 0
     R = _ring_size(K, r, n_select)

@@ -33,6 +33,13 @@ _RANK_CUTOFF = 1e-10
 # software"), below which the downdate's cancellation leaves no digits.
 _DOWNDATE_FLOOR = 2.0 ** -26
 
+# data_space_lambda_min pivots on the smallest index among the rows whose
+# residual² is within this many d·ε of the largest, relatively. One row's
+# squared norm summed in two orders can differ by about d·ε, and
+# unit-normalized rows all tie for the first pivot up to those last bits,
+# so without the margin the BLAS's summation order chose the basis.
+_PIVOT_TIE = 4
+
 # Margin, in units of the Gram's round-off, above which η² skips the SVD.
 _SPAN_CERTIFICATE = 10.0
 
@@ -217,7 +224,8 @@ def data_space_lambda_min(space: EmbeddingSet) -> float:
     """Smallest eigenvalue of ΦΦᵀ for a basis Φ extracted from the data rows.
 
     The basis rows are chosen by column-pivoted Gram–Schmidt on the rows.
-    Each step takes the row with the largest residual², orthogonalizes it
+    Each step takes the row with the largest residual², the smallest index
+    among those within _PIVOT_TIE·d·ε of it relatively, orthogonalizes it
     against the basis so far twice, and downdates every residual² by one
     GEMV of the rows with the new direction. A downdated residual² that
     falls to _DOWNDATE_FLOOR of its last exact value, or below, is
@@ -240,12 +248,14 @@ def data_space_lambda_min(space: EmbeddingSet) -> float:
     last = res.copy()  # each row's residual² when last computed exactly
     tol = _RANK_CUTOFF ** 2 * float(res.max())
     res[res <= tol] = -np.inf  # dropped rows, and picked ones
+    near = 1.0 - _PIVOT_TIE * d * float(np.finfo(np.float64).eps)
     Q = np.empty((min(K, d), d))
     piv: list[int] = []
     while len(piv) < len(Q):
-        p = int(np.argmax(res))
-        if res[p] == -np.inf:
+        top = res[res.argmax()]
+        if top == -np.inf:
             break
+        p = int(np.argmax(res >= top * near))
         k = len(piv)
         v = X[p].copy()
         for _ in range(2):

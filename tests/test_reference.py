@@ -20,6 +20,7 @@ from siftsel import (
     irreducible_uncertainty_oracle,
     lambda_min_oracle,
     nn_insufficiency_instance,
+    normalize_rows,
     sift_select,
     uncertainty_reduction,
 )
@@ -204,7 +205,10 @@ def _lambda_min_case(family, seed):
     row moved off their span by 10^-9.5 to 10^-8 of the largest norm, so
     the basis is k + 1 rows with σ_min² near 1e-18 of the largest norm².
     duplicate-heavy: up to d distinct rows, each repeated, the whole set
-    ×1e-6, ×1 or ×1e6. scaled-rows: Gaussian rows, each ×1e-6, ×1 or ×1e6."""
+    ×1e-6, ×1 or ×1e6. scaled-rows: Gaussian rows, each ×1e-6, ×1 or ×1e6.
+    unit-rows: more Gaussian rows than dimensions, normalized as `stats`
+    does by default, so every row ties for the first pivot up to the last
+    bits of its norm. unit-duplicates: duplicate-heavy rows, normalized."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 17))
     if family == "off-span":
@@ -221,9 +225,16 @@ def _lambda_min_case(family, seed):
         base = rng.normal(size=(int(rng.integers(1, d + 1)), d))
         X = base[rng.integers(0, len(base), size=int(rng.integers(len(base), 60)))]
         X = X * 10.0 ** rng.choice([-6.0, 0.0, 6.0])
-    else:
+    elif family == "scaled-rows":
         K = int(rng.integers(2, 60))
         X = rng.normal(size=(K, d)) * 10.0 ** rng.choice([-6.0, 0.0, 6.0], size=(K, 1))
+    elif family == "unit-rows":
+        X = rng.normal(size=(int(rng.integers(d + 1, 61)), d))
+    else:  # unit-duplicates
+        base = rng.normal(size=(int(rng.integers(1, d + 1)), d))
+        X = base[rng.integers(0, len(base), size=int(rng.integers(len(base) + 1, 61)))]
+    if family.startswith("unit"):
+        return normalize_rows(EmbeddingSet(data=X))
     return EmbeddingSet(data=X)
 
 
@@ -239,11 +250,14 @@ class TestLambdaMinOracle:
             with pytest.raises(InvalidParameter):
                 lambda_min_oracle(EmbeddingSet(data=empty))
 
-    @pytest.mark.parametrize("family", ["off-span", "duplicate-heavy", "scaled-rows"])
+    @pytest.mark.parametrize("family", ["off-span", "duplicate-heavy", "scaled-rows",
+                                        "unit-rows", "unit-duplicates"])
     def test_matches_the_shipped_lambda_min(self, family):
         """data_space_lambda_min is strictly positive and within 1e-5 of the
         oracle. On off-span rows the eigenvalues of the basis rows' Gram were
-        round-off, at or below zero on about half of these seeds."""
+        round-off, at or below zero on about half of these seeds. On unit
+        rows the two take their first pivot from norms summed in different
+        orders, so they agree only through the shared tie margin."""
         for seed in range(200):
             space = _lambda_min_case(family, seed)
             lam = data_space_lambda_min(space)
