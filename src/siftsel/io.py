@@ -17,13 +17,19 @@ is written is computed in 64-bit:
   and non-ASCII digits; these are rejected as unparseable. Every row must
   hold as many values as the first (RaggedRow), and a bad value raises
   EmbeddingIOError naming the path, row, column and value; rows count data
-  rows only.
+  rows only. A file whose bytes hold no '#' is parsed in one loadtxt call
+  over those bytes, the ids taken in the same pass. A file with a '#' or
+  no data rows, and every file that call refuses (a line of whitespace, a
+  ragged row, a bad value), is parsed by a walk over its lines, which
+  skips comments and blank lines and locates the first error; the result
+  is the same either way.
 
-Row ids can also come from a sidecar text file (one id per line), which
-takes precedence over a CSV id column. A set's ids are None unless the file
-(a CSV id column) or a sidecar names them; EmbeddingSet.id_of and
-write_selection then name row r by its decimal index str(r) in the file,
-through source_rows when the set is a preselected subset.
+Row ids can also come from a sidecar text file, one id per line, which
+takes precedence over a CSV id column; only LF, CRLF and CR end its lines.
+A set's ids are None unless the file (a CSV id column) or a sidecar names
+them; EmbeddingSet.id_of and write_selection then name row r by its
+decimal index str(r) in the file, through source_rows when the set is a
+preselected subset.
 
 CSV files and id sidecars must be UTF-8; a byte that is not raises
 EmbeddingIOError naming the path and the byte's offset (CLI exit 2).
@@ -35,8 +41,10 @@ lambda_prime, n, sigma0_sq, sigma_final_sq).
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import stat
 import struct
 import threading
@@ -76,11 +84,10 @@ class EmbeddingFileHeader:
     dim: int
 
 
-def _read_utf8(path) -> str:
-    """The text of a UTF-8 file, its CRLF and lone CR line ends read as LF,
-    as open() reads them. A byte that is not UTF-8 raises EmbeddingIOError
-    naming the path and the byte's offset."""
-    raw = Path(path).read_bytes()
+def _utf8_text(path, raw: bytes) -> str:
+    """The text of a UTF-8 file's bytes, its CRLF and lone CR line ends
+    read as LF, as open() reads them. A byte that is not UTF-8 raises
+    EmbeddingIOError naming the path and the byte's offset."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -95,7 +102,12 @@ def _read_utf8(path) -> str:
 
 
 def _read_sidecar_ids(ids_path, n: int) -> tuple[str, ...]:
-    lines = _read_utf8(ids_path).splitlines()
+    """One id per line. Lines end at LF alone, after CR normalization, so
+    an id may hold any other character; a final line end closes the last
+    id rather than starting an empty one."""
+    lines = _utf8_text(ids_path, Path(ids_path).read_bytes()).split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if len(lines) != n:
         raise EmbeddingIOError(
             f"id sidecar {ids_path} has {len(lines)} lines for {n} rows"
@@ -276,10 +288,78 @@ def _raise_first_bad_row(path, lines: list[str], has_ids: bool) -> None:
             )
 
 
+def _as_f32(data: np.ndarray) -> np.ndarray:
+    # stored at 32-bit precision like the binary format; a value beyond
+    # float32's range becomes inf, which is refused like nan and inf
+    with np.errstate(over="ignore"):
+        return data.astype("<f4")
+
+
+# The first line of a CSV's bytes, and a byte that is not a line end
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
+_NOT_EOL = re.compile(rb"[^\r\n]")
+
+
 def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """The float32 rows of a CSV file, not yet checked for finiteness, and
-    its id column, if any."""
-    lines = [s for s in (line.strip() for line in _read_utf8(path).split("\n"))
+    its id column, if any.
+
+    A file whose bytes hold no '#' is parsed whole by _parse_clean_csv.
+    One with a '#', one that parse refuses and one with no data line go to
+    _walk_csv, which parses comments and blank lines and locates errors."""
+    raw = Path(path).read_bytes()
+    if b"#" not in raw:
+        parsed = _parse_clean_csv(path, raw)
+        if parsed is not None:
+            return parsed
+    return _walk_csv(path, raw)
+
+
+def _parse_clean_csv(path, raw: bytes):
+    """_walk_csv's result for a CSV's bytes from one np.loadtxt over them,
+    or None where the walk has to decide: loadtxt raised ValueError (a
+    line of whitespace, a ragged row or a bad value), no line after the
+    header holds anything, or no row holds a value after its id. The bytes
+    must hold no '#'.
+
+    The header is the first line when its first field is "id". loadtxt then
+    skips it, and a converter on column 0 keeps each row's id and hands the
+    parse a 0.0 in its place. Bytes that are not ASCII are checked as UTF-8
+    first, which raises at the walk's byte offset. A text wrapper reads
+    CRLF and a lone CR as line ends, as the walk does: loadtxt over the
+    bytes themselves ends lines at LF alone, so a lone CR raised, or, in a
+    header, hid every row behind it from skiprows."""
+    if not raw.isascii():
+        _utf8_text(path, raw)
+    first = _FIRST_LINE.match(raw)
+    has_ids = first.group().decode("utf-8").partition(",")[0].strip() == "id"
+    if _NOT_EOL.search(raw, first.end() if has_ids else 0) is None:
+        return None  # loadtxt would warn that it found no data
+    ids: list[str] = []
+
+    def take_id(field: str) -> float:
+        ids.append(field.strip())
+        return 0.0
+
+    try:
+        data = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+                          skiprows=int(has_ids),
+                          converters={0: take_id} if has_ids else None, **_LOADTXT)
+    except ValueError:
+        return None
+    if not has_ids:
+        return _as_f32(data), None
+    # one column is ids alone, or whitespace lines read as ids
+    return (_as_f32(data[:, 1:]), tuple(ids)) if data.shape[1] > 1 else None
+
+
+def _walk_csv(path, raw: bytes) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """The line walk behind _read_csv: the float32 rows of a CSV file's
+    bytes and its id column, if any. Lines are stripped, blank and '#'
+    lines dropped, and each id split off in Python; the values of every
+    row go to one np.loadtxt, and only when that fails are the rows walked
+    again for the first bad one."""
+    lines = [s for s in (line.strip() for line in _utf8_text(path, raw).split("\n"))
              if s and not s.startswith("#")]
     has_ids = bool(lines) and lines[0].partition(",")[0].strip() == "id"
     if has_ids:
@@ -299,10 +379,7 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     except ValueError:
         _raise_first_bad_row(path, lines, has_ids)
         data = np.empty((len(lines), 0))  # ids alone: EmbeddingSet refuses dimension 0
-    # store at 32-bit precision like the binary format; a value beyond
-    # float32's range becomes inf, which is refused like nan and inf
-    with np.errstate(over="ignore"):
-        return data.astype("<f4"), ids
+    return _as_f32(data), ids
 
 
 def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet:
@@ -311,7 +388,9 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
 
     Ids come from the CSV id column or the sidecar when provided; otherwise
     the set's ids are None, and id_of and write_selection name row r by
-    str(r). A non-finite value raises NonFiniteValue at its row and column,
+    str(r). A CSV without '#' is parsed by one np.loadtxt over its bytes;
+    one with '#', blank lines or an error is walked line by line, so an
+    error costs a second parse (see the module docstring). A non-finite value raises NonFiniteValue at its row and column,
     and a dimension of 0 raises DimensionMismatch. The values are checked
     here, as they are read, by one pass that computes each row's float64
     norm: a float32 row's norm is finite exactly when its values are. The
@@ -340,19 +419,42 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
     return EmbeddingSet._certified(data, ids=ids, norms=norms)
 
 
+def _csv_id_fault(i: str) -> str | None:
+    """Why the CSV reader would not give id `i` back, or None: a ',' or
+    line end splits its row, surrounding whitespace is stripped, and a
+    leading '#' makes its row a comment."""
+    if "," in i or "\n" in i or "\r" in i:
+        return "holds a comma or a line end"
+    if i != i.strip():
+        return "has whitespace around it"
+    if i.startswith("#"):
+        return "starts with '#'"
+    return None
+
+
 def write_embeddings(e: EmbeddingSet, path, format: str = "binary", ids_path=None) -> None:
-    """Write an EmbeddingSet at 32-bit precision; optionally an id sidecar."""
+    """Write an EmbeddingSet at 32-bit precision; optionally an id sidecar.
+
+    Ids that a file could not give back raise EmbeddingIOError before any
+    file is opened: in csv, one with a ',', a CR or LF, whitespace around
+    it, or a leading '#'; in a sidecar, one with a CR or LF."""
+    if format not in ("binary", "csv"):
+        raise EmbeddingIOError(f"unknown format {format!r} (expected 'binary' or 'csv')")
+    if e.ids is not None:
+        for i in e.ids:
+            fault = _csv_id_fault(i) if format == "csv" else None
+            if fault:
+                raise EmbeddingIOError(f"id {i!r} cannot be stored in csv: it {fault}")
+            if ids_path is not None and ("\n" in i or "\r" in i):
+                raise EmbeddingIOError(f"id {i!r} cannot be stored in a sidecar: it holds a line end")
     data32 = np.ascontiguousarray(e.data, dtype="<f4")
     if format == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, e.rows, e.dim))
             fh.write(data32.tobytes(order="C"))
-    elif format == "csv":
+    else:
         with open(path, "w", encoding="utf-8") as fh:
             if e.ids is not None:
-                for i in e.ids:
-                    if "," in i or "\n" in i:
-                        raise EmbeddingIOError(f"id {i!r} cannot be stored in csv")
                 fh.write("id," + ",".join(f"v{j}" for j in range(e.dim)) + "\n")
             for r in range(e.rows):
                 vals = ",".join(str(v) for v in data32[r])
@@ -360,8 +462,6 @@ def write_embeddings(e: EmbeddingSet, path, format: str = "binary", ids_path=Non
                     fh.write(f"{e.ids[r]},{vals}\n")
                 else:
                     fh.write(vals + "\n")
-    else:
-        raise EmbeddingIOError(f"unknown format {format!r} (expected 'binary' or 'csv')")
     if ids_path is not None and e.ids is not None:
         Path(ids_path).write_text("\n".join(e.ids) + "\n", encoding="utf-8")
 

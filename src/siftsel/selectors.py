@@ -245,9 +245,9 @@ def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
     return np.flatnonzero(~(s + E < kth) | bad)
 
 
-def _candidate_factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _candidate_factor(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     """A K×r matrix Z and an r×r matrix A₀ with Z A₀ Zᵀ = XXᵀ, r = min(K, d),
-    and A₀ None standing for I.
+    either None standing for I.
 
     With at least as many rows as dimensions the rows serve as they are.
     Otherwise Z is the K×K identity and A₀ the Gram XXᵀ, so the greedy
@@ -262,7 +262,14 @@ def _candidate_factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     K, d = X.shape
     if K >= d:
         return X, None
-    return np.eye(K), X @ X.T
+    return None, X @ X.T
+
+
+def _times_z(M: np.ndarray, Z: np.ndarray | None, p: int) -> np.ndarray:
+    """M z_p for row p of Z, with Z None standing for I: M's column p,
+    read rather than multiplied, and copied so that a product fed it sees
+    a contiguous vector, as it does M z_p, and rounds the same."""
+    return M @ Z[p] if Z is not None else M[:, p].copy()
 
 
 def _ring_size(K: int, r: int, n_select: int) -> int:
@@ -273,14 +280,15 @@ def _ring_size(K: int, r: int, n_select: int) -> int:
     return min(n_select, r // 4) if K * r >= _RING_MIN_WORK else 0
 
 
-def _project(z: np.ndarray, A: np.ndarray | None, W: np.ndarray) -> np.ndarray:
-    """(A − WᵀW) z for the greedy kernel's current matrix, with A None
-    standing for I (before the first fold) and W holding the w's not yet
-    folded into A, possibly none. Each of the two cases skips a product
-    whose result it already has: I z is z, and an empty W takes nothing
-    off."""
-    v = z if A is None else A @ z
-    return v - W.T @ (W @ z) if len(W) else v
+def _project(Z: np.ndarray | None, p: int, A: np.ndarray | None,
+             W: np.ndarray) -> np.ndarray:
+    """(A − WᵀW) z_p for row p of Z and the greedy kernel's current matrix,
+    with A None standing for I (before the first fold; Z is then the rows)
+    and W holding the w's not yet folded into A, possibly none. Each case
+    skips a product whose result it already has: I z is z, A I and W I
+    are columns (_times_z), and an empty W takes nothing off."""
+    v = Z[p] if A is None else _times_z(A, Z, p)
+    return v - W.T @ _times_z(W, Z, p) if len(W) else v
 
 
 def _greedy_kernel(
@@ -302,7 +310,8 @@ def _greedy_kernel(
     W until they are folded into A, so the current matrix is A − WᵀW.
 
     A step costs O(r²) for w plus the column. A new pick's column is one
-    GEMV against Z, K·r work. A repeat pick of row p, last picked g < R
+    GEMV against Z, K·r work, and w itself when Z is I, whose products with
+    z_p are read as columns (_times_z). A repeat pick of row p, last picked g < R
     steps before at step s, builds it from the columns, w and roots of the
     last R steps, which the kernel keeps (R from _ring_size): A_s z_p is
     root_s·w_s, and every step j since took w_j(w_j·z_p) off it, so
@@ -330,8 +339,9 @@ def _greedy_kernel(
     starting value when that exceeds 1, so rows and queries far from unit
     size are held to the same relative standard.
     """
-    Z, A = _candidate_factor(X)  # A None is I until the first fold
-    K, r = Z.shape
+    Z, A = _candidate_factor(X)  # None is I, for A until the first fold
+    K = X.shape[0]
+    r = K if Z is None else Z.shape[1]
     W = np.empty((_FOLD_EVERY, r))
     m = 0
     R = _ring_size(K, r, n_select)
@@ -368,8 +378,7 @@ def _greedy_kernel(
             continue
         root = math.sqrt(den)
         kq_best = float(kq[best])
-        z = Z[best]
-        w = _project(z, A, W[:m]) / root
+        w = _project(Z, best, A, W[:m]) / root
         if R:
             col = cols[step % R]
         s = last.get(best, -R)
@@ -378,13 +387,15 @@ def _greedy_kernel(
             a, b = s % R, step % R
             parts = (slice(a, b),) if a < b else (slice(a, R), slice(0, b))
             for i, j in enumerate(parts):
-                coef = ws[j] @ z
+                coef = _times_z(ws[j], Z, best)
                 if i == 0:
                     coef[0] -= roots[a]
                 coef /= -root
                 np.dot(coef, cols[j], out=tmp if i else col)
             if len(parts) == 2:
                 col += tmp
+        elif Z is None:
+            col[:] = w
         else:
             np.dot(Z, w, out=col)
         np.multiply(col, kq_best / root, out=tmp)

@@ -798,6 +798,184 @@ def test_csv_round_trip_property(tmp_path, case):
         assert [back.id_of(r) for r in range(back.rows)] == [str(r) for r in range(len(data))]
 
 
+
+class TestCsvIdsThatCannotComeBack:
+    @pytest.mark.parametrize("bad", ["#a", " a", "a ", "\ta", "a\u3000", "a\rb", "a\nb", "a,b"])
+    def test_refused_before_the_file_is_opened(self, tmp_path, bad):
+        """An id the reader would skip as a comment, strip, or split at a
+        line end is refused like one with a comma, and the file that was
+        there is left as it was."""
+        p = tmp_path / "emb.csv"
+        p.write_text("kept\n")
+        e = EmbeddingSet(data=np.eye(2), ids=(bad, "c"))
+        with pytest.raises(EmbeddingIOError, match="cannot be stored in csv"):
+            write_embeddings(e, p, format="csv")
+        assert p.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("good", ["a#b", "", "a b", "id", "é名"])
+    def test_ids_the_reader_gives_back_are_written(self, tmp_path, good):
+        p = tmp_path / "emb.csv"
+        e = EmbeddingSet(data=np.eye(2), ids=(good, "c"))
+        write_embeddings(e, p, format="csv")
+        assert read_embeddings(p, format="csv").ids == (good, "c")
+
+
+# Characters str.splitlines() breaks at besides CR and LF
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestSidecarLines:
+    @pytest.mark.parametrize("text, ids", [
+        ("", ()), ("a", ("a",)), ("a\n", ("a",)), ("\n", ("",)),
+        ("a\n\n", ("a", "")), ("a\r\nb\rc", ("a", "b", "c")),
+        ("a\x0cb\n \n", ("a\x0cb", " ")),
+    ])
+    def test_lines_end_at_lf_alone(self, tmp_path, text, ids):
+        """A sidecar splits on LF after CR normalization; a final line end
+        closes the last id. Form feeds, NEL and the Unicode separators
+        are part of an id."""
+        sidecar = tmp_path / "ids.txt"
+        sidecar.write_bytes(text.encode("utf-8"))
+        assert siftsel.io._read_sidecar_ids(sidecar, len(ids)) == ids
+
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "\n"])
+    def test_line_ends_refused_before_anything_is_written(self, tmp_path, bad):
+        p, sidecar = tmp_path / "emb.bin", tmp_path / "emb.ids"
+        p.write_bytes(b"kept")
+        sidecar.write_text("kept\n")
+        e = EmbeddingSet(data=np.eye(2), ids=(bad, "c"))
+        with pytest.raises(EmbeddingIOError, match="cannot be stored in a sidecar"):
+            write_embeddings(e, p, ids_path=sidecar)
+        assert p.read_bytes() == b"kept" and sidecar.read_text() == "kept\n"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(st.text(alphabet=st.sampled_from("ab \t,#" + _SPLITLINES_ONLY),
+                                max_size=4), min_size=1, max_size=5))
+    def test_round_trip(self, tmp_path, ids):
+        p, sidecar = tmp_path / "emb.bin", tmp_path / "emb.ids"
+        e = EmbeddingSet(data=np.ones((len(ids), 2)), ids=ids)
+        write_embeddings(e, p, ids_path=sidecar)
+        assert read_embeddings(p, ids_path=sidecar).ids == tuple(ids)
+
+
+def _walk(path):
+    return siftsel.io._walk_csv(path, path.read_bytes())
+
+
+def _outcome(read, path):
+    """What reading `path` gives: the rows' dtype, shape and bytes and the
+    ids, or the error's type, message, row and column."""
+    try:
+        rows, ids = read(path)
+    except EmbeddingIOError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return rows.dtype.str, rows.shape, rows.tobytes(), ids
+
+
+_DIFF_VALUES = ["1", "-2.5", ".5", "1e3", "+4E+02", "1e39", "nan", "-inf", " 3 ", "\t4",
+                "\xa05", "6\u3000", "7\x0c", "\x1c8"]
+_DIFF_BAD = ["", "x", "1_0", "2#c", "1 2", "\ufeff1", "\u0661"]
+_DIFF_IDS = ["a", "b7", "", " c ", "é", "名", "id", "x y"]
+_DIFF_OTHER = ["", " ", "\t", "\u3000", "\x0c", "\x1c", "# note", "  # note, 1,2", "a", "id,v0"]
+
+
+@st.composite
+def any_csv_texts(draw):
+    """CSV texts that the reader should take and ones it should refuse,
+    all in one space: an id header or none, rows of d values with an id or
+    none, bad values and ragged rows now and then, blank, whitespace,
+    comment and id-only lines, LF, CRLF and lone CR endings, a BOM, and
+    files with no rows."""
+    d = draw(st.integers(1, 3))
+    with_ids = draw(st.booleans())
+    lines = []
+    if with_ids:
+        lines.append(draw(st.sampled_from(["id,v0", " id , x", "id"])))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["other", "ragged", "bad"]))
+        if kind == "other":
+            lines.append(draw(st.sampled_from(_DIFF_OTHER)))
+            continue
+        n = d + draw(st.sampled_from([-1, 1])) if kind == "ragged" else d
+        values = draw(st.lists(st.sampled_from(_DIFF_VALUES), min_size=n, max_size=n))
+        if kind == "bad" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_DIFF_BAD))
+        if with_ids:
+            values.insert(0, draw(st.sampled_from(_DIFF_IDS)))
+        lines.append(",".join(values))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last row
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+class TestCsvPaths:
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=any_csv_texts())
+    def test_one_pass_and_line_walk_agree(self, tmp_path, text):
+        """_read_csv, which parses a file without '#' in one loadtxt call,
+        gives the line walk's rows and ids byte for byte, or its error
+        type, message, row and column, and warns of nothing."""
+        p = tmp_path / "emb.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(siftsel.io._read_csv, p) == _outcome(_walk, p)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n", "id,v0,v1\na,1,2\r\nb,3,4", "1\r\n2\r\n",
+        "id,v0\né,1\n 名 ,2\n", " id ,v0\na,1\n",
+    ])
+    def test_clean_files_never_reach_the_line_walk(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "emb.csv"
+        p.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_walk, p)
+
+        def refuse(path, raw):
+            raise AssertionError("a clean file reached the line walk")
+
+        monkeypatch.setattr(siftsel.io, "_walk_csv", refuse)
+        assert _outcome(siftsel.io._read_csv, p) == expected
+
+    @pytest.mark.parametrize("text", [
+        "# c\n1,2\n", "1,2\n3,4#\n", "id,v0\n#a,1\n",  # a '#' anywhere
+        "1,2\n\n\n3,4\n",  # blank lines loadtxt skips still parse in one pass
+    ])
+    def test_which_files_reach_the_line_walk(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "emb.csv"
+        p.write_bytes(text.encode("utf-8"))
+        calls = []
+        walk = siftsel.io._walk_csv
+
+        def counted(path, raw):
+            calls.append(path)
+            return walk(path, raw)
+
+        monkeypatch.setattr(siftsel.io, "_walk_csv", counted)
+        try:
+            siftsel.io._read_csv(p)
+        except EmbeddingIOError:
+            pass
+        assert bool(calls) == ("#" in text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "\r\n", "  \n\t\n", "\u3000\n", "id,v0\n", "id,v0\n\n \r\n", "id",
+    ])
+    def test_empty_or_blank_file_raises_without_a_warning(self, tmp_path, text):
+        """loadtxt warns that its input "contained no data"; such files
+        never reach it, and raise the walk's error."""
+        p = tmp_path / "emb.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingIOError, match="contains no data rows"):
+                read_embeddings(p, format="csv")
+
 class TestSelectionSerialization:
     def test_worked_instance_records(self, wspace, wquery, wcfg, tmp_path):
         r = sift_select(wspace, wquery, 2, wcfg)

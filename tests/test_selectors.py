@@ -228,7 +228,8 @@ class TestGreedyKernel:
         while no w waits to be folded. Over 130 picks, two folds, on
         duplicate-heavy pools, with and without kept columns, its order and
         traces are the bytes of the step that always multiplies."""
-        def unshortened(z, A, W):
+        def unshortened(Z, p, A, W):
+            z = Z[p]
             return (np.eye(z.size) if A is None else A) @ z - W.T @ (W @ z)
 
         cfg, n = KernelConfig(lambda_prime=lam), 130
@@ -241,6 +242,40 @@ class TestGreedyKernel:
             fast = select(space, q, picks, cfg)
             with monkeypatch.context() as m:
                 m.setattr(selectors, "_project", unshortened)
+                full = select(space, q, picks, cfg)
+            assert fast.order == full.order
+            assert fast.objective_trace == full.objective_trace
+            assert fast.sigma_trace == full.sigma_trace
+
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("lam", [1e-12, 0.01, 1.0])
+    @pytest.mark.parametrize("select", [sift_select, uncertainty_sampling_select, nn_select])
+    def test_identity_factor_is_read_not_multiplied(self, monkeypatch, select, lam, ring):
+        """With fewer rows than dimensions Z is I, passed as None: the
+        kernel reads the columns of A and W and takes w as the pick's column
+        rather than multiplying by I. Over 130 picks on duplicate-heavy wide
+        pools, with and without kept columns, its order and traces are the
+        bytes of the kernel handed an explicit identity."""
+        def explicit(X):
+            return np.eye(X.shape[0]), X @ X.T
+
+        cfg, n = KernelConfig(lambda_prime=lam), 130
+        if ring:
+            monkeypatch.setattr(selectors, "_RING_MIN_WORK", 0)
+        for seed in range(8):
+            rng = np.random.default_rng([11, seed])
+            d = int(rng.integers(40, 120))
+            K = int(rng.integers(d // 3, d))
+            base = rng.normal(size=(int(rng.integers(4, K // 3)), d))
+            X = base[rng.integers(0, len(base), size=K)] + rng.normal(size=(K, d)) * 1e-3
+            X[rng.random(K) < 0.2] = base[0]
+            space = normalize_rows(EmbeddingSet(data=X))
+            q = unit_vector(rng, d)
+            picks = K if select is nn_select else n  # nn picks distinct rows
+            assert selectors._candidate_factor(space.data)[0] is None
+            fast = select(space, q, picks, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(selectors, "_candidate_factor", explicit)
                 full = select(space, q, picks, cfg)
             assert fast.order == full.order
             assert fast.objective_trace == full.objective_trace
