@@ -390,8 +390,9 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
     the set's ids are None, and id_of and write_selection name row r by
     str(r). A CSV without '#' is parsed by one np.loadtxt over its bytes;
     one with '#', blank lines or an error is walked line by line, so an
-    error costs a second parse (see the module docstring). A non-finite value raises NonFiniteValue at its row and column,
-    and a dimension of 0 raises DimensionMismatch. The values are checked
+    error costs a second parse (see the module docstring). A non-finite
+    value raises NonFiniteValue at its row and column, and a dimension of
+    0 raises DimensionMismatch. The values are checked
     here, as they are read, by one pass that computes each row's float64
     norm: a float32 row's norm is finite exactly when its values are. The
     set keeps those norms, so normalize_rows divides by them without a
@@ -446,7 +447,8 @@ def write_embeddings(e: EmbeddingSet, path, format: str = "binary", ids_path=Non
             if fault:
                 raise EmbeddingIOError(f"id {i!r} cannot be stored in csv: it {fault}")
             if ids_path is not None and ("\n" in i or "\r" in i):
-                raise EmbeddingIOError(f"id {i!r} cannot be stored in a sidecar: it holds a line end")
+                raise EmbeddingIOError(
+                    f"id {i!r} cannot be stored in a sidecar: it holds a line end")
     data32 = np.ascontiguousarray(e.data, dtype="<f4")
     if format == "binary":
         with open(path, "wb") as fh:

@@ -311,9 +311,9 @@ def _greedy_kernel(
 
     A step costs O(r²) for w plus the column. A new pick's column is one
     GEMV against Z, K·r work, and w itself when Z is I, whose products with
-    z_p are read as columns (_times_z). A repeat pick of row p, last picked g < R
-    steps before at step s, builds it from the columns, w and roots of the
-    last R steps, which the kernel keeps (R from _ring_size): A_s z_p is
+    z_p are read as columns (_times_z). A repeat pick of row p, last picked
+    g < R steps before at step s, builds it from the columns, w and roots
+    of the last R steps, which the kernel keeps (R from _ring_size): A_s z_p is
     root_s·w_s, and every step j since took w_j(w_j·z_p) off it, so
         Z A_t z_p = root_s·col_s − Σ_{j=s}^{t−1} col_j (w_j·z_p),
     g·K work. Its value differs from the GEMV's only by rounding, which
