@@ -18,8 +18,8 @@ is written is computed in 64-bit:
   hold as many values as the first (RaggedRow), and a bad value raises
   EmbeddingIOError naming the path, row, column and value; rows count data
   rows only. A file whose bytes hold no '#' is parsed in one loadtxt call
-  over those bytes, the ids taken in the same pass. A file with a '#' or
-  no data rows, and every file that call refuses (a line of whitespace, a
+  over its lines, blank ones dropped and the ids taken in the same pass.
+  A file with a '#' or no data rows, and every file that call refuses (a
   ragged row, a bad value), is parsed by a walk over its lines, which
   skips comments and blank lines and locates the first error; the result
   is the same either way.
@@ -42,9 +42,9 @@ lambda_prime, n, sigma0_sq, sigma_final_sq).
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
-import re
 import stat
 import struct
 import threading
@@ -295,18 +295,13 @@ def _as_f32(data: np.ndarray) -> np.ndarray:
         return data.astype("<f4")
 
 
-# The first line of a CSV's bytes, and a byte that is not a line end
-_FIRST_LINE = re.compile(rb"[^\r\n]*")
-_NOT_EOL = re.compile(rb"[^\r\n]")
-
-
 def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """The float32 rows of a CSV file, not yet checked for finiteness, and
     its id column, if any.
 
     A file whose bytes hold no '#' is parsed whole by _parse_clean_csv.
     One with a '#', one that parse refuses and one with no data line go to
-    _walk_csv, which parses comments and blank lines and locates errors."""
+    _walk_csv, which parses comments and locates errors."""
     raw = Path(path).read_bytes()
     if b"#" not in raw:
         parsed = _parse_clean_csv(path, raw)
@@ -318,22 +313,25 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
 def _parse_clean_csv(path, raw: bytes):
     """_walk_csv's result for a CSV's bytes from one np.loadtxt over them,
     or None where the walk has to decide: loadtxt raised ValueError (a
-    line of whitespace, a ragged row or a bad value), no line after the
-    header holds anything, or no row holds a value after its id. The bytes
-    must hold no '#'.
+    ragged row or a bad value), no data line follows the header, or no row
+    holds a value after its id. The bytes must hold no '#'.
 
-    The header is the first line when its first field is "id". loadtxt then
-    skips it, and a converter on column 0 keeps each row's id and hands the
-    parse a 0.0 in its place. Bytes that are not ASCII are checked as UTF-8
-    first, which raises at the walk's byte offset. A text wrapper reads
-    CRLF and a lone CR as line ends, as the walk does: loadtxt over the
-    bytes themselves ends lines at LF alone, so a lone CR raised, or, in a
-    header, hid every row behind it from skiprows."""
+    A text wrapper reads CRLF and a lone CR as line ends, as the walk does
+    (loadtxt over the bytes themselves ends lines at LF alone), and lines
+    of whitespace are dropped on the way, as the walk drops them. The
+    header is the first line left when its first field is "id"; a
+    converter on column 0 then keeps each row's id and hands the parse a
+    0.0 in its place. Bytes that are not ASCII are checked as UTF-8 first,
+    which raises at the walk's byte offset. encoding="utf-8" hands the
+    converter str rather than bytes on NumPy before 2.0."""
     if not raw.isascii():
         _utf8_text(path, raw)
-    first = _FIRST_LINE.match(raw)
-    has_ids = first.group().decode("utf-8").partition(",")[0].strip() == "id"
-    if _NOT_EOL.search(raw, first.end() if has_ids else 0) is None:
+    lines = itertools.filterfalse(
+        str.isspace, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    head = next(lines, "")
+    has_ids = head.partition(",")[0].strip() == "id"
+    first = next(lines, "") if has_ids else head
+    if not first:
         return None  # loadtxt would warn that it found no data
     ids: list[str] = []
 
@@ -342,14 +340,12 @@ def _parse_clean_csv(path, raw: bytes):
         return 0.0
 
     try:
-        data = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
-                          skiprows=int(has_ids),
+        data = np.loadtxt(itertools.chain((first,), lines), encoding="utf-8",
                           converters={0: take_id} if has_ids else None, **_LOADTXT)
     except ValueError:
         return None
     if not has_ids:
         return _as_f32(data), None
-    # one column is ids alone, or whitespace lines read as ids
     return (_as_f32(data[:, 1:]), tuple(ids)) if data.shape[1] > 1 else None
 
 
@@ -388,9 +384,9 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
 
     Ids come from the CSV id column or the sidecar when provided; otherwise
     the set's ids are None, and id_of and write_selection name row r by
-    str(r). A CSV without '#' is parsed by one np.loadtxt over its bytes;
-    one with '#', blank lines or an error is walked line by line, so an
-    error costs a second parse (see the module docstring). A non-finite
+    str(r). A CSV without '#' is parsed by one np.loadtxt over its lines;
+    one with '#' or an error is walked line by line, so an error costs a
+    second parse (see the module docstring). A non-finite
     value raises NonFiniteValue at its row and column, and a dimension of
     0 raises DimensionMismatch. The values are checked
     here, as they are read, by one pass that computes each row's float64

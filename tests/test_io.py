@@ -930,6 +930,7 @@ class TestCsvPaths:
     @pytest.mark.parametrize("text", [
         "1,2\n3,4\n", "id,v0,v1\na,1,2\r\nb,3,4", "1\r\n2\r\n",
         "id,v0\né,1\n 名 ,2\n", " id ,v0\na,1\n",
+        "1,2\n \n3,4\n \t", "\n\u3000\nid,v0\r\n\x0c\ra,1\n",  # lines of whitespace
     ])
     def test_clean_files_never_reach_the_line_walk(self, tmp_path, monkeypatch, text):
         p = tmp_path / "emb.csv"
@@ -944,7 +945,7 @@ class TestCsvPaths:
 
     @pytest.mark.parametrize("text", [
         "# c\n1,2\n", "1,2\n3,4#\n", "id,v0\n#a,1\n",  # a '#' anywhere
-        "1,2\n\n\n3,4\n",  # blank lines loadtxt skips still parse in one pass
+        "1,2\n\n\n3,4\n", "1,2\n \t\n3,4\n \r\n",  # blank and whitespace lines do not
     ])
     def test_which_files_reach_the_line_walk(self, tmp_path, monkeypatch, text):
         p = tmp_path / "emb.csv"
@@ -962,6 +963,23 @@ class TestCsvPaths:
         except EmbeddingIOError:
             pass
         assert bool(calls) == ("#" in text)
+
+    def test_one_pass_ids_are_str(self, tmp_path, monkeypatch):
+        """Before NumPy 2.0 loadtxt's default encoding hands converters
+        bytes; the one pass names utf-8, so ids come back as str."""
+        p = tmp_path / "emb.csv"
+        p.write_bytes("id,v0\na,1\n名,2\n".encode("utf-8"))
+        encodings = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            encodings.append(kwargs.get("encoding"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(siftsel.io.np, "loadtxt", spy)
+        rows, ids = siftsel.io._read_csv(p)
+        assert encodings == ["utf-8"]
+        assert ids == ("a", "名") and all(type(i) is str for i in ids)
 
     @pytest.mark.parametrize("text", [
         "", "\n\n", "\r\n", "  \n\t\n", "\u3000\n", "id,v0\n", "id,v0\n\n \r\n", "id",
