@@ -7,9 +7,10 @@ multiset of observed rows:
     sigma²_X(q) = k(q,q) − k_X(q)ᵀ (K_X + λ′ I)⁻¹ k_X(q)
 
 where K_X is the Gram matrix of the observed rows and λ′ > 0 plays the role
-of observation noise. This module provides that quantity in both its kernel
-form and its equivalent feature-space form, row normalization, and total
-variation distance.
+of observation noise. This module provides that quantity, from one QR factor
+of the ridge-augmented rows rather than a solve with K_X, row normalization,
+and total variation distance. reference.posterior_variance_feature_space is
+its independent oracle, λ′·qᵀ(XᵀX + λ′I_d)⁻¹q.
 
 An EmbeddingSet stores its rows in the dtype they arrived in (float32 when
 read from a file) and their float64 norms, taken by the file reader as it
@@ -54,22 +55,6 @@ _ZERO_NORM_CUTOFF = 1e-12
 # 100k rows) came from fresh pages each time: 456 page faults, and about
 # 0.8 ms, a query.
 _BLOCK_VALUES = 2 ** 19
-
-# Diagonal bumps spd_solve tries in turn, as fractions of the matrix's mean
-# diagonal: a plain Cholesky first, then jitter from one ulp of the mean
-# diagonal up, 16 times larger each rung, until the factorization succeeds.
-# Ten copies of a row ×1e6 at λ′ = 0.01 need the first rung, 2^-52; rows
-# ×1e8 that span the space need 2^-48. A rung is thus at most 16 times the
-# least that succeeds, and near the rounding already in the matrix's entries.
-_JITTER_LADDER = (0.0,) + tuple(2.0 ** e for e in range(-52, -19, 4))
-
-# With a ridge given, spd_solve keeps a jittered solution only when the
-# jitter can have moved rhs·x by at most this fraction of itself. The bound
-# it checks counts round-off in rhs as if it were signal, so it runs far
-# above the true movement: on 300×16 Gaussian rows ×1e9 it reached 1.6e-7,
-# where posterior_variance and the greedy kernel agreed within 3e-13·σ²₀.
-_JITTER_BIAS = 1e-6
-
 
 def _check_finite(data: np.ndarray, first_row: int = 0) -> None:
     """Raise NonFiniteValue at the first NaN or infinity of a 2-D array,
@@ -327,56 +312,6 @@ def _as_row_matrix(selected, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def spd_solve(mat: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Solve the symmetric positive-definite system mat @ x = rhs.
-
-    Plain Cholesky first; on failure the diagonal is bumped by j = 2^-52,
-    then 2^-48, … up to 2^-20 times the mean diagonal (_JITTER_LADDER)
-    before giving up with NumericalFailure. The escalation rescues Grams
-    made singular in floating point by duplicated rows when the
-    regularizer is tiny next to the rows, at any size of the rows, while
-    the unperturbed first attempt keeps well-posed solves bias-free. A
-    matrix whose mean diagonal is not positive and finite is not positive
-    definite, and gets the plain attempt alone.
-
-    Each rung factors the shifted matrix with np.linalg.cholesky and solves
-    through the factor, L y = rhs and then Lᵀ x = y. An LU solve of the
-    shifted matrix itself would call singular some matrices the Cholesky
-    accepts. The cost is O(n³): NumPy has no triangular solve, so each of
-    the two solves factors its triangle by LU.
-
-    ridge is the regularizer mat carries on its diagonal, λ′ for a Gram
-    plus λ′I, so every eigenvalue of the exact matrix is at least ridge.
-    The jitter then moves rhs·x by j·x_exact·x ≤ j(1 + j/ridge)·x·x. When
-    ridge is positive, a jittered solution whose bound exceeds
-    _JITTER_BIAS·|rhs·x| raises NumericalFailure rather than return a
-    biased value; a larger rung would only move it further.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[0]
-    eye = np.eye(n)
-    mean = float(np.trace(mat)) / n if n else 0.0
-    ladder = _JITTER_LADDER if 0.0 < mean < math.inf else _JITTER_LADDER[:1]
-    for j in ladder:
-        try:
-            L = np.linalg.cholesky(mat + j * mean * eye)
-        except np.linalg.LinAlgError:
-            continue
-        x = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-        jit = j * mean
-        if jit and ridge > 0.0:
-            bound = jit * (1.0 + jit / ridge) * float(np.vdot(x, x))
-            if not bound <= _JITTER_BIAS * abs(float(np.vdot(rhs, x))):
-                raise NumericalFailure(
-                    f"SPD solve needs jitter {jit:.3g} against a ridge of {ridge:.3g}, "
-                    f"which may move the solution by up to {bound:.3g} (size {n})"
-                )
-        return x
-    raise NumericalFailure(
-        f"SPD solve failed after jitter escalation to 2^-20 of the mean diagonal (size {n})"
-    )
-
-
 def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
     """Clamp round-off negatives to 0; raise on negatives beyond tolerance,
     NEGATIVE_VARIANCE_TOL times `scale` (the size of the variances the
@@ -435,6 +370,25 @@ def normalize_rows(e: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet._certified(out, ids=e.ids, normalized=True, source_rows=e.source_rows)
 
 
+def _ridge_r(X: np.ndarray, q: np.ndarray, lam: float) -> np.ndarray:
+    """R of the Householder QR of the ridge-augmented rows [[Xᵀ, q],
+    [√λ′·I_m, 0]]. With more rows than dimensions, X is first replaced by
+    its own d×d R factor, which has the same XᵀX; so R is (r+1)×(r+1),
+    r = min(m, d). Its leading r×r block R_r has R_rᵀR_r = XXᵀ + λ′I_r,
+    and R[r, r]² is the residual of min_w ‖q − Xᵀw‖² + λ′‖w‖². No Gram
+    matrix is formed, so rows whose norms dwarf their differences keep
+    them."""
+    m, d = X.shape
+    if m > d:
+        X = np.linalg.qr(X, mode="r")
+        m = d
+    A = np.zeros((d + m, m + 1))
+    A[:d, :m] = X.T
+    A[:d, m] = q
+    np.fill_diagonal(A[d:, :m], math.sqrt(lam))
+    return np.linalg.qr(A, mode="r")
+
+
 def posterior_variance(selected, q, cfg: KernelConfig) -> float:
     """Conditional variance of the query after observing the selected rows.
 
@@ -442,32 +396,17 @@ def posterior_variance(selected, q, cfg: KernelConfig) -> float:
     empty selection returning k(q,q). Repeats in `selected` are meaningful:
     observing the same row twice reduces variance further, like repeated
     noisy measurements.
+
+    The value is the residual min_w ‖q − Xᵀw‖² + λ′‖w‖², read off one
+    QR factor of the ridge-augmented rows (_ridge_r) as R[m, m]²: exact
+    up to the rounding of the rows themselves, never negative, and with
+    no failure branch.
     """
     q = as_query(q)
     X = _as_row_matrix(selected, q.shape[0])
-    kqq = float(q @ q)
     if X.shape[0] == 0:
-        return _clamp_variance(kqq, "posterior variance")
-    gram = X @ X.T
-    gram[np.diag_indices_from(gram)] += cfg.lambda_prime
-    kxq = X @ q
-    sol = spd_solve(gram, kxq, cfg.lambda_prime)
-    return _clamp_variance(kqq - float(kxq @ sol), "posterior variance")
-
-
-def posterior_variance_feature_space(selected, q, cfg: KernelConfig) -> float:
-    """The same conditional variance computed in feature space.
-
-    sigma²_X(q) = λ′ · qᵀ (Σ_X + λ′ I_d)⁻¹ q with Σ_X = Φ_XᵀΦ_X. Agrees
-    with posterior_variance to ~1e-8 on well-conditioned inputs; useful when
-    the selection is much larger than the embedding dimension.
-    """
-    q = as_query(q)
-    X = _as_row_matrix(selected, q.shape[0])
-    sigma = X.T @ X
-    sigma[np.diag_indices_from(sigma)] += cfg.lambda_prime
-    sol = spd_solve(sigma, q, cfg.lambda_prime)
-    return _clamp_variance(cfg.lambda_prime * float(q @ sol), "posterior variance")
+        return float(q @ q)
+    return float(_ridge_r(X, q, cfg.lambda_prime)[-1, -1] ** 2)
 
 
 def tv_distance(s, t) -> float:

@@ -55,8 +55,8 @@ class DegenerateVariance(InputError):
 
 
 class NumericalFailure(SiftselError):
-    """SPD solve failed even after jitter escalation, or a variance went
-    negative beyond round-off tolerance. CLI exit code 3."""
+    """A variance went negative beyond round-off tolerance, or a value
+    cannot be written as JSON. CLI exit code 3."""
 
 
 class EmbeddingIOError(InputError):

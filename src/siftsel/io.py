@@ -515,15 +515,29 @@ def write_selection(result: SelectionResult, ids, out, source_rows=None) -> None
             fh.write(text)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_selection(path) -> tuple[list[dict], dict]:
-    """Parse a JSONL selection file back into (row records, summary)."""
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+    """Parse a JSONL selection file back into (row records, summary).
+    A line that is not a JSON object, or that holds NaN or an infinity,
+    which write_selection never writes, raises EmbeddingIOError naming the
+    path and the line; so does a file that is not UTF-8, naming the byte."""
+    lines: list[dict] = []
+    for n, line in enumerate(_utf8_text(path, Path(path).read_bytes()).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line, parse_constant=_reject_constant)
+        except ValueError as exc:
+            raise EmbeddingIOError(f"{path} line {n}: {getattr(exc, 'msg', exc)}") from None
+        if not isinstance(obj, dict):
+            raise EmbeddingIOError(f"{path} line {n}: not a JSON object")
+        lines.append(obj)
     if not lines:
         raise EmbeddingIOError(f"{path} is empty")
     summary = lines[-1]
     if "method" not in summary:
         raise EmbeddingIOError(f"{path} is missing the summary line")
-    records = lines[:-1]
-    return records, summary
+    return lines[:-1], summary

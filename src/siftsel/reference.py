@@ -46,6 +46,19 @@ def _direct_sigma_sq(rows: np.ndarray, picked: list[int], q: np.ndarray, lam: fl
     return kqq - float(np.dot(kxq, sol))
 
 
+def posterior_variance_feature_space(selected, q, cfg: KernelConfig) -> float:
+    """posterior_variance in its feature-space form, λ′·qᵀ(XᵀX + λ′I_d)⁻¹q,
+    by one dense solve. `selected` is an EmbeddingSet, an (m, d) array or a
+    sequence of row vectors; no input checks."""
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    if isinstance(selected, EmbeddingSet):
+        X = selected.data
+    else:
+        X = np.asarray(selected, dtype=np.float64).reshape(-1, q.shape[0])
+    lam = cfg.lambda_prime
+    return lam * float(q @ np.linalg.solve(X.T @ X + lam * np.eye(q.shape[0]), q))
+
+
 def greedy_direct_oracle(
     candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig
 ) -> SelectionResult:

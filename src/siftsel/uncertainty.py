@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EmbeddingSet, KernelConfig, _as_row_matrix, as_query, posterior_variance
+from .core import (
+    EmbeddingSet,
+    KernelConfig,
+    _as_row_matrix,
+    _ridge_r,
+    as_query,
+    posterior_variance,
+)
 from .errors import DegenerateVariance, InvalidParameter, check_param
 from .selectors import SelectionResult
 
@@ -355,17 +362,18 @@ def realized_info_gain(selected, lambda_prime: float) -> float:
     gain appearing in the regression width: a lower bound, and the quantity
     a practitioner can actually evaluate. `selected` may be an EmbeddingSet
     or any sequence of row vectors.
+
+    With R the QR factor of the ridge-augmented rows (core._ridge_r), the
+    gain is Σ ln|R_ii| − (r/2)·ln λ′ over its leading r = min(m, d)
+    diagonals: that block has RᵀR = K_X + λ′I_m, or XᵀX + λ′I_d when
+    m > d, whose determinant over λ′ᵈ is the same. No Gram is formed.
     """
     check_param("lambda_prime", lambda_prime, gt=0)
     X = _as_row_matrix(selected)
     if X.shape[0] == 0:
         return 0.0
-    gram = X @ X.T
-    m = gram.shape[0]
-    sign, logdet = np.linalg.slogdet(np.eye(m) + gram / lambda_prime)
-    if sign <= 0:
-        raise InvalidParameter("selected Gram produced a non-positive determinant")
-    return 0.5 * float(logdet)
+    r = np.abs(np.diagonal(_ridge_r(X, np.zeros(X.shape[1]), lambda_prime))[:-1])
+    return float(np.log(r).sum()) - 0.5 * r.size * math.log(lambda_prime)
 
 
 def marginal_info_gain(x, X, q, cfg: KernelConfig) -> InfoGain:

@@ -24,7 +24,7 @@ from siftsel import (
     normalize_rows,
     posterior_variance,
     posterior_variance_feature_space,
-    spd_solve,
+    realized_info_gain,
     tv_distance,
 )
 from siftsel.core import _block_rows, _clamp_variance
@@ -234,42 +234,52 @@ class TestFeatureSpaceIdentity:
             )
 
 
-class TestSpdSolve:
-    def test_plain_solve_is_exact_on_identity(self):
-        rhs = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(spd_solve(np.eye(3), rhs), rhs, atol=1e-15)
+class TestRidgeFactor:
+    """posterior_variance and realized_info_gain read one QR factor of the
+    ridge-augmented rows [[Xᵀ, q], [√λ′·I, 0]]: no Gram matrix, so rows
+    whose norms dwarf their differences keep them."""
 
-    def test_jitter_escalation_rescues_singular_gram(self):
-        # rank-one Gram of duplicated rows; plain Cholesky fails
-        mat = np.ones((3, 3))
-        rhs = np.ones(3)
-        x = spd_solve(mat, rhs)
-        assert np.all(np.isfinite(x))
-        np.testing.assert_allclose((mat + 1e-10 * np.eye(3)) @ x, rhs, atol=1e-5)
+    LAM = 0.01
+    # the two rows' closed forms: σ² of q = v after both, and
+    # ½·log det(I + K_X/λ′) with K_X's eigenvalues 2e16 and 2
+    SIGMA_SQ = LAM / (2 + LAM)
+    GAIN = 0.5 * (math.log1p(2e18) + math.log(201.0))
 
-    def test_indefinite_matrix_fails_after_escalation(self):
-        with pytest.raises(NumericalFailure):
-            spd_solve(-np.eye(2), np.ones(2))
+    @staticmethod
+    def _two_rows(rot=None):
+        """Rows 1e8·u ± v and q = v, for orthonormal u, v; rotated by `rot`."""
+        u, v = np.eye(16)[:2]
+        X = np.array([1e8 * u + v, 1e8 * u - v])
+        return (X, v) if rot is None else (X @ rot.T, rot @ v)
 
-    def test_a_jitter_that_would_bias_the_solution_raises(self):
-        """1e16·[[1, 1], [1, 1]] + 0.01·I is singular once rounded, and needs
-        jitter of about 2.2, far above the ridge 0.01. With rhs along the
-        small direction the jittered solution is off by a factor of 200:
-        given the ridge, spd_solve refuses it instead of returning it."""
-        mat = 1e16 * np.ones((2, 2)) + 0.01 * np.eye(2)
-        rhs = np.array([1.0, -1.0])
-        assert spd_solve(mat, rhs) @ rhs < 1.0  # the exact value is 200
-        with pytest.raises(NumericalFailure, match="jitter"):
-            spd_solve(mat, rhs, 0.01)
-        # along the large direction the same jitter moves nothing that counts
-        x = spd_solve(mat, np.ones(2), 0.01)
-        assert x @ np.ones(2) == pytest.approx(2 / (2e16 + 0.01), rel=1e-12)
+    def test_two_rows_whose_norms_dwarf_their_difference(self):
+        """Their Gram's v part is below an ulp of 1e16, so a solve with the
+        rounded Gram needed a diagonal bump of 2.2 against λ′ = 0.01. The
+        residual of q = v after both rows is λ′/(2 + λ′) in closed form."""
+        X, q = self._two_rows()
+        assert posterior_variance(X, q, KernelConfig(self.LAM)) == pytest.approx(
+            self.SIGMA_SQ, rel=1e-12)
 
-    def test_jitter_scales_with_the_matrix(self):
-        """Ten copies of one Gaussian row ×1e6 at λ′ = 0.01: with jitter
-        rungs fixed at 1e-10 to 1e-6 the solve failed on 2 of these 50
-        seeds. Rungs relative to the mean diagonal solve all 50, within
-        1e-9·q·q of the closed form q·q − m(x·q)²/(m‖x‖² + λ′)."""
+    def test_info_gain_of_two_rows_whose_norms_dwarf_their_difference(self):
+        """½[ln(1 + 2e18) + ln 201]: a log-determinant of the rounded Gram
+        took the singular matrix for an input error."""
+        X, _ = self._two_rows()
+        assert realized_info_gain(X, self.LAM) == pytest.approx(self.GAIN, rel=0, abs=1e-12)
+
+    def test_rotated_rows_agree_within_their_rounding(self):
+        """Rotated, the rows are no longer exact in float64: their rounding,
+        about 1e-8 of the v part, is what the answers may move by."""
+        rng = np.random.default_rng(0)
+        for i in range(20):
+            X, q = self._two_rows(np.linalg.qr(rng.normal(size=(16, 16)))[0])
+            assert posterior_variance(X, q, KernelConfig(self.LAM)) == pytest.approx(
+                self.SIGMA_SQ, rel=1e-7), i
+            assert realized_info_gain(X, self.LAM) == pytest.approx(self.GAIN, rel=0, abs=1e-7), i
+
+    def test_ten_copies_of_a_row_scaled_by_1e6(self):
+        """Ten copies of one Gaussian row ×1e6 at λ′ = 0.01 have a Gram that
+        is singular once rounded. All 50 seeds land within 1e-9·q·q of the
+        closed form q·q − m(x·q)²/(m‖x‖² + λ′)."""
         cfg, m = KernelConfig(), 10
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -277,6 +287,20 @@ class TestSpdSolve:
             closed = q @ q - m * (x @ q) ** 2 / (m * (x @ x) + cfg.lambda_prime)
             got = posterior_variance(np.tile(x, (m, 1)), q, cfg)
             assert got == pytest.approx(closed, rel=0, abs=1e-9 * (q @ q)), seed
+
+    def test_scaled_rows_match_the_feature_space_oracle(self):
+        """50 Gaussian rows of dim 16 (more rows than dimensions), ×1e6 to
+        ×1e10: σ² falls to about 1e-24 at ×1e10, and a solve with the Gram
+        lost it to the Gram's own round-off or raised. The QR residual stays
+        within 1e-12 of the dense feature-space solve, relatively."""
+        cfg = KernelConfig(self.LAM)
+        for scale in (1e6, 1e7, 1e8, 1e9, 1e10):
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                X, q = rng.normal(size=(50, 16)) * scale, rng.normal(size=16)
+                want = posterior_variance_feature_space(X, q, cfg)
+                assert posterior_variance(X, q, cfg) == pytest.approx(want, rel=1e-12), (
+                    scale, seed)
 
 
 class TestAsQuery:

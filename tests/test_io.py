@@ -1079,6 +1079,25 @@ class TestSelectionSerialization:
         with pytest.raises(EmbeddingIOError):
             read_selection(p)
 
+    @pytest.mark.parametrize("line, where", [
+        (b'{"rank": 1, "row": ', "line 3"),
+        (b'[1, 2]', "line 3"),
+        (b'"sift"', "line 3"),
+        (b'{"rank": 1, "sigma_sq": NaN}', "line 3"),
+        (b'{"rank": 1, "sigma_sq": Infinity}', "line 3"),
+        (b'{"rank": 1, "sigma_sq": -Infinity}', "line 3"),
+        (b'{"id": "\xff"}', "is not UTF-8: byte 0xff at offset 31"),
+    ])
+    def test_read_selection_names_what_it_cannot_read(self, tmp_path, line, where):
+        """Malformed JSON, a value that is not an object, the NaN and
+        infinities that write_selection refuses to write, and bytes that
+        are not UTF-8 all end in EmbeddingIOError naming the path and the
+        line, or the byte."""
+        p = tmp_path / "sel.jsonl"
+        p.write_bytes(b'{"rank": 1, "row": 0}\n\n' + line + b'\n{"method": "sift"}\n')
+        with pytest.raises(EmbeddingIOError, match=re.escape(f"sel.jsonl {where}")):
+            read_selection(p)
+
 
 class TestFormatsRoundTripThroughEachOther:
     def test_binary_and_csv_agree(self, tmp_path):

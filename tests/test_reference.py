@@ -1,11 +1,16 @@
 """Brute-force oracles: the slow, obviously-correct implementations the
 optimized selectors are checked against."""
 
+import ast
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siftsel.reference
 from conftest import unit_rows, unit_vector
 from siftsel import (
     EmbeddingSet,
@@ -304,3 +309,18 @@ class TestCompareRuns:
         report = compare_runs(a, b)
         assert not report.order_matches
         assert report.max_deviation > 0.0
+
+
+def test_oracles_share_no_numerical_code_with_the_production_paths():
+    """reference.py takes only classes and constants from the modules it
+    checks: a function imported from them would let one fault pass on both
+    sides of a comparison."""
+    tree = ast.parse(inspect.getsource(siftsel.reference))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in ("core", "selectors", "uncertainty")
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        obj = getattr(importlib.import_module(f"siftsel.{module}"), name)
+        assert isinstance(obj, type) or not callable(obj), f"{module}.{name}"

@@ -177,8 +177,9 @@ class TestGreedyKernel:
         times 1e6 once raised NumericalFailure on a diagonal of -1.2e-4.
         Times 1e8, λ′ = 0.01 is round-off once the picks span the rows; a
         pick whose denominator was then conditioned on threw the diagonals
-        to -1.5e10, and now adds nothing. posterior_variance's jitter once
-        moved it by 2.1e-8·σ²₀ on four of these seeds, none of them seed 0."""
+        to -1.5e10, and now adds nothing. posterior_variance, the direct
+        value each trace is checked against, reads a QR residual of the
+        rows and forms no Gram, so no diagonal bump moves it."""
         cfg = KernelConfig()
         for seed in range(20):
             rng = np.random.default_rng(seed)
