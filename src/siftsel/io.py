@@ -17,12 +17,9 @@ is written is computed in 64-bit:
   and non-ASCII digits; these are rejected as unparseable. Every row must
   hold as many values as the first (RaggedRow), and a bad value raises
   EmbeddingIOError naming the path, row, column and value; rows count data
-  rows only. A file whose bytes hold no '#' is parsed in one loadtxt call
-  over its lines, blank ones dropped and the ids taken in the same pass.
-  A file with a '#' or no data rows, and every file that call refuses (a
-  ragged row, a bad value), is parsed by a walk over its lines, which
-  skips comments and blank lines and locates the first error; the result
-  is the same either way.
+  rows only. One loadtxt call over the file's lines parses every file,
+  blank and comment lines dropped and the ids taken in the same pass;
+  only when that call fails are the lines walked, to locate the error.
 
 Row ids can also come from a sidecar text file, one id per line, which
 takes precedence over a CSV id column; only LF, CRLF and CR end its lines.
@@ -299,83 +296,56 @@ def _read_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """The float32 rows of a CSV file, not yet checked for finiteness, and
     its id column, if any.
 
-    A file whose bytes hold no '#' is parsed whole by _parse_clean_csv.
-    One with a '#', one that parse refuses and one with no data line go to
-    _walk_csv, which parses comments and locates errors."""
+    Every file is parsed by one np.loadtxt over the lines of a text
+    wrapper of its bytes, which reads CRLF and a lone CR as line ends
+    (loadtxt over the bytes themselves ends lines at LF alone); blank and
+    comment lines are dropped on the way. The header is the first line
+    left when its first field is "id"; a converter on column 0 then keeps
+    each row's id and hands the parse a 0.0 in its place. Bytes that are
+    not ASCII are checked as UTF-8 first, which raises at the byte's
+    offset. encoding="utf-8" hands the converter str rather than bytes on
+    NumPy before 2.0.
+
+    Only when that parse fails (loadtxt raised ValueError, no data line
+    follows the header, or no row holds a value after its id) are the
+    stripped rows listed, to raise "contains no data rows" or the first
+    bad row's error. Where every row holds an id and no values, the rows
+    come back with dimension 0, which EmbeddingSet refuses."""
     raw = Path(path).read_bytes()
-    if b"#" not in raw:
-        parsed = _parse_clean_csv(path, raw)
-        if parsed is not None:
-            return parsed
-    return _walk_csv(path, raw)
-
-
-def _parse_clean_csv(path, raw: bytes):
-    """_walk_csv's result for a CSV's bytes from one np.loadtxt over them,
-    or None where the walk has to decide: loadtxt raised ValueError (a
-    ragged row or a bad value), no data line follows the header, or no row
-    holds a value after its id. The bytes must hold no '#'.
-
-    A text wrapper reads CRLF and a lone CR as line ends, as the walk does
-    (loadtxt over the bytes themselves ends lines at LF alone), and lines
-    of whitespace are dropped on the way, as the walk drops them. The
-    header is the first line left when its first field is "id"; a
-    converter on column 0 then keeps each row's id and hands the parse a
-    0.0 in its place. Bytes that are not ASCII are checked as UTF-8 first,
-    which raises at the walk's byte offset. encoding="utf-8" hands the
-    converter str rather than bytes on NumPy before 2.0."""
     if not raw.isascii():
         _utf8_text(path, raw)
-    lines = itertools.filterfalse(
-        str.isspace, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    # a line is skipped when it is whitespace or its first other character
+    # is '#'; filtering on str.isspace first keeps most of that test in C
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    lines = (line for line in itertools.filterfalse(str.isspace, text)
+             if line.lstrip()[0] != "#")
     head = next(lines, "")
     has_ids = head.partition(",")[0].strip() == "id"
     first = next(lines, "") if has_ids else head
-    if not first:
-        return None  # loadtxt would warn that it found no data
     ids: list[str] = []
 
     def take_id(field: str) -> float:
         ids.append(field.strip())
         return 0.0
 
-    try:
-        data = np.loadtxt(itertools.chain((first,), lines), encoding="utf-8",
-                          converters={0: take_id} if has_ids else None, **_LOADTXT)
-    except ValueError:
-        return None
-    if not has_ids:
-        return _as_f32(data), None
-    return (_as_f32(data[:, 1:]), tuple(ids)) if data.shape[1] > 1 else None
-
-
-def _walk_csv(path, raw: bytes) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """The line walk behind _read_csv: the float32 rows of a CSV file's
-    bytes and its id column, if any. Lines are stripped, blank and '#'
-    lines dropped, and each id split off in Python; the values of every
-    row go to one np.loadtxt, and only when that fails are the rows walked
-    again for the first bad one."""
-    lines = [s for s in (line.strip() for line in _utf8_text(path, raw).split("\n"))
-             if s and not s.startswith("#")]
-    has_ids = bool(lines) and lines[0].partition(",")[0].strip() == "id"
-    if has_ids:
-        del lines[0]
-    if not lines:
+    if first:  # loadtxt would warn that it found no data
+        try:
+            data = np.loadtxt(itertools.chain((first,), lines), encoding="utf-8",
+                              converters={0: take_id} if has_ids else None, **_LOADTXT)
+        except ValueError:
+            pass
+        else:
+            if not has_ids:
+                return _as_f32(data), None
+            if data.shape[1] > 1:
+                return _as_f32(data[:, 1:]), tuple(ids)
+    rows = [s for s in (line.strip() for line in _utf8_text(path, raw).split("\n"))
+            if s and not s.startswith("#")][has_ids:]  # the rows after any header
+    if not rows:
         raise EmbeddingIOError(f"{path} contains no data rows")
-    if has_ids:
-        parts = [line.partition(",") for line in lines]
-        ids = tuple(head.strip() for head, _, _ in parts)
-        values = [tail for _, _, tail in parts]
-    else:
-        ids, values = None, lines
-    try:
-        if not all(values):
-            raise ValueError("a line holds an id and no values")  # loadtxt would skip it
-        data = np.loadtxt(values, **_LOADTXT)
-    except ValueError:
-        _raise_first_bad_row(path, lines, has_ids)
-        data = np.empty((len(lines), 0))  # ids alone: EmbeddingSet refuses dimension 0
-    return _as_f32(data), ids
+    _raise_first_bad_row(path, rows, has_ids)
+    return (_as_f32(np.empty((len(rows), 0))),
+            tuple(row.partition(",")[0].strip() for row in rows) if has_ids else None)
 
 
 def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet:
@@ -384,11 +354,11 @@ def read_embeddings(path, format: str = "binary", ids_path=None) -> EmbeddingSet
 
     Ids come from the CSV id column or the sidecar when provided; otherwise
     the set's ids are None, and id_of and write_selection name row r by
-    str(r). A CSV without '#' is parsed by one np.loadtxt over its lines;
-    one with '#' or an error is walked line by line, so an error costs a
-    second parse (see the module docstring). A non-finite
-    value raises NonFiniteValue at its row and column, and a dimension of
-    0 raises DimensionMismatch. The values are checked
+    str(r). One np.loadtxt over its lines parses every CSV, and only a
+    failed parse is walked line by line, to locate the error (see the
+    module docstring). A non-finite value raises NonFiniteValue at its row
+    and column, and a dimension of 0 raises DimensionMismatch. The values
+    are checked
     here, as they are read, by one pass that computes each row's float64
     norm: a float32 row's norm is finite exactly when its values are. The
     set keeps those norms, so normalize_rows divides by them without a

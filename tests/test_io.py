@@ -545,21 +545,19 @@ class TestThreadedReader:
     def test_every_thread_reads_a_signalling_nan_without_a_warning(
             self, tmp_path, monkeypatch, read_threads):
         """NumPy's error state is per thread: each worker sets its own, so
-        widening a signalling NaN warns in none of them. The first block
-        waits until a worker has taken one."""
+        widening a signalling NaN warns in none of them. Each thread waits
+        in its block until the other is in one too, so that neither fails
+        and stops the other before it has claimed a block."""
         read_threads(2)
         bits = np.ones((7 * _B + 1, _N_DIM), "<f4").view("<u4")
         bits[::_B, 1] = 0x7F800001  # one in every block
         p = tmp_path / "e.bin"
         make_binary(p, *bits.shape, bits.tobytes())
-        real, worker_ran, readers = siftsel.io._norms_into, threading.Event(), set()
+        real, both_in, readers = siftsel.io._norms_into, threading.Barrier(2, timeout=10), set()
 
         def norms_into(block, out, buf):
             readers.add(threading.get_ident())
-            if threading.current_thread() is threading.main_thread():
-                assert worker_ran.wait(10)
-            else:
-                worker_ran.set()
+            both_in.wait()  # each thread fails in its first block, so waits once
             real(block, out, buf)
         monkeypatch.setattr(siftsel.io, "_norms_into", norms_into)
         with warnings.catch_warnings():
@@ -859,8 +857,37 @@ class TestSidecarLines:
         assert read_embeddings(p, ids_path=sidecar).ids == tuple(ids)
 
 
+def _walk_csv(path, raw: bytes) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """A line walk over a CSV file's bytes, the oracle for _read_csv: the
+    float32 rows and the id column, if any. Lines are stripped, blank and
+    '#' lines dropped, and each id split off in Python; the values of every
+    row go to one np.loadtxt, and only when that fails are the rows walked
+    again for the first bad one."""
+    lines = [s for s in (line.strip() for line in siftsel.io._utf8_text(path, raw).split("\n"))
+             if s and not s.startswith("#")]
+    has_ids = bool(lines) and lines[0].partition(",")[0].strip() == "id"
+    if has_ids:
+        del lines[0]
+    if not lines:
+        raise EmbeddingIOError(f"{path} contains no data rows")
+    if has_ids:
+        parts = [line.partition(",") for line in lines]
+        ids = tuple(head.strip() for head, _, _ in parts)
+        values = [tail for _, _, tail in parts]
+    else:
+        ids, values = None, lines
+    try:
+        if not all(values):
+            raise ValueError("a line holds an id and no values")  # loadtxt would skip it
+        data = np.loadtxt(values, **siftsel.io._LOADTXT)
+    except ValueError:
+        siftsel.io._raise_first_bad_row(path, lines, has_ids)
+        data = np.empty((len(lines), 0))  # ids alone: EmbeddingSet refuses dimension 0
+    return siftsel.io._as_f32(data), ids
+
+
 def _walk(path):
-    return siftsel.io._walk_csv(path, path.read_bytes())
+    return _walk_csv(path, path.read_bytes())
 
 
 def _outcome(read, path):
@@ -876,7 +903,7 @@ def _outcome(read, path):
 _DIFF_VALUES = ["1", "-2.5", ".5", "1e3", "+4E+02", "1e39", "nan", "-inf", " 3 ", "\t4",
                 "\xa05", "6\u3000", "7\x0c", "\x1c8"]
 _DIFF_BAD = ["", "x", "1_0", "2#c", "1 2", "\ufeff1", "\u0661"]
-_DIFF_IDS = ["a", "b7", "", " c ", "é", "名", "id", "x y"]
+_DIFF_IDS = ["a", "b7", "", " c ", "é", "名", "id", "x y", "#x"]
 _DIFF_OTHER = ["", " ", "\t", "\u3000", "\x0c", "\x1c", "# note", "  # note, 1,2", "a", "id,v0"]
 
 
@@ -917,52 +944,61 @@ class TestCsvPaths:
     @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=any_csv_texts())
-    def test_one_pass_and_line_walk_agree(self, tmp_path, text):
-        """_read_csv, which parses a file without '#' in one loadtxt call,
-        gives the line walk's rows and ids byte for byte, or its error
-        type, message, row and column, and warns of nothing."""
+    def test_reader_and_walk_agree(self, tmp_path, text):
+        """_read_csv, which parses every file in one loadtxt call, gives
+        the line walk's rows and ids byte for byte, or its error type,
+        message, row and column, and warns of nothing. A row whose id
+        starts with '#' is a comment to the reader and the walk alike."""
         p = tmp_path / "emb.csv"
         p.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _outcome(siftsel.io._read_csv, p) == _outcome(_walk, p)
 
-    @pytest.mark.parametrize("text", [
-        "1,2\n3,4\n", "id,v0,v1\na,1,2\r\nb,3,4", "1\r\n2\r\n",
-        "id,v0\né,1\n 名 ,2\n", " id ,v0\na,1\n",
-        "1,2\n \n3,4\n \t", "\n\u3000\nid,v0\r\n\x0c\ra,1\n",  # lines of whitespace
+    @pytest.mark.parametrize("text, parse", [
+        ("1,2\n3,4\n", "parsed"), ("id,v0,v1\na,1,2\r\nb,3,4", "parsed"),
+        ("1\r\n2\r\n", "parsed"), ("id,v0\né,1\n 名 ,2\n", "parsed"),
+        (" id ,v0\na,1\n", "parsed"),
+        ("1,2\n \n3,4\n \t", "parsed"),  # lines of whitespace
+        ("\n\u3000\nid,v0\r\n\x0c\ra,1\n", "parsed"),
+        ("# c\n1,2\n", "parsed"), ("1,2\n3,4#\n", "failed"),  # a '#' anywhere
+        ("id,v0\n#a,1\n", None),  # a comment row leaves no data line, and no parse
+        ("1,2\n\n\n3,4\n", "parsed"), ("1,2\n \t\n3,4\n \r\n", "parsed"),
+        ("1,2\n3\n5,6\n", "failed"),  # ragged
+        ("id,v0,v1\na,1,2\nb,3,x\n", "failed"),  # a bad value
     ])
-    def test_clean_files_never_reach_the_line_walk(self, tmp_path, monkeypatch, text):
+    def test_one_whole_file_parse_and_a_walk_only_when_it_fails(
+            self, tmp_path, monkeypatch, text, parse):
+        """Every file with a data line makes exactly one whole-file
+        np.loadtxt call, whatever its comments and errors, and the rows
+        are walked for the first bad one (_raise_first_bad_row) only when
+        that call has failed."""
         p = tmp_path / "emb.csv"
         p.write_bytes(text.encode("utf-8"))
         expected = _outcome(_walk, p)
+        loadtxt, locate = np.loadtxt, siftsel.io._raise_first_bad_row
+        parses, walks = [], []
 
-        def refuse(path, raw):
-            raise AssertionError("a clean file reached the line walk")
+        def spy(*args, **kwargs):
+            if walks:  # the walk's parses of single rows and values
+                return loadtxt(*args, **kwargs)
+            try:
+                data = loadtxt(*args, **kwargs)
+            except ValueError:
+                parses.append("failed")
+                raise
+            parses.append("parsed")
+            return data
 
-        monkeypatch.setattr(siftsel.io, "_walk_csv", refuse)
+        def counted(*args):
+            walks.append(list(parses))
+            return locate(*args)
+
+        monkeypatch.setattr(siftsel.io.np, "loadtxt", spy)
+        monkeypatch.setattr(siftsel.io, "_raise_first_bad_row", counted)
         assert _outcome(siftsel.io._read_csv, p) == expected
-
-    @pytest.mark.parametrize("text", [
-        "# c\n1,2\n", "1,2\n3,4#\n", "id,v0\n#a,1\n",  # a '#' anywhere
-        "1,2\n\n\n3,4\n", "1,2\n \t\n3,4\n \r\n",  # blank and whitespace lines do not
-    ])
-    def test_which_files_reach_the_line_walk(self, tmp_path, monkeypatch, text):
-        p = tmp_path / "emb.csv"
-        p.write_bytes(text.encode("utf-8"))
-        calls = []
-        walk = siftsel.io._walk_csv
-
-        def counted(path, raw):
-            calls.append(path)
-            return walk(path, raw)
-
-        monkeypatch.setattr(siftsel.io, "_walk_csv", counted)
-        try:
-            siftsel.io._read_csv(p)
-        except EmbeddingIOError:
-            pass
-        assert bool(calls) == ("#" in text)
+        assert parses == ([parse] if parse else [])
+        assert walks == ([["failed"]] if parse == "failed" else [])
 
     def test_one_pass_ids_are_str(self, tmp_path, monkeypatch):
         """Before NumPy 2.0 loadtxt's default encoding hands converters
