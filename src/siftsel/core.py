@@ -35,13 +35,13 @@ from .errors import (
     InvalidParameter,
     NonFiniteValue,
     NotAProbabilityVector,
-    NumericalFailure,
     ZeroNormRow,
     check_param,
 )
 
 # Negative variances within this band are round-off and clamped to zero;
-# anything more negative is treated as a logic error (NumericalFailure).
+# anything more negative is treated as a logic error (NumericalFailure,
+# raised by the greedy kernel in selectors).
 # A caller whose variances are larger than 1 scales the band by their size.
 NEGATIVE_VARIANCE_TOL = 1e-9
 
@@ -118,8 +118,9 @@ class EmbeddingSet:
     rows.astype(float64) / norms[:, None], and kept; preselect_candidates
     and nn_select scan the stored rows and never build it. The row space
     that irreducible_uncertainty finds is kept in _span the same way, and
-    so are the squared norms of data's rows that the greedy kernel starts
-    from, in _sq. A pickled set carries its rows and divisors, none of the
+    so is the state the greedy kernel starts from, in _sq: the distinct
+    rows of data, their squared norms and their indices, which selectors
+    computes. A pickled set carries its rows and divisors, none of the
     values computed from them, the read-time norms included.
     """
 
@@ -188,43 +189,29 @@ class EmbeddingSet:
 
     @property
     def data(self) -> np.ndarray:
-        """The read-only (n, d) float64 matrix, built on first use. Each
-        value is widened, and divided, straight into the matrix: the bytes
-        of _widen, without its temporaries."""
+        """The read-only (n, d) float64 matrix, built on first use by
+        _widen."""
         if self._data is None:
-            if self._div is None and self._rows.dtype == np.float64:
-                data = self._rows
-            else:
-                data = np.empty(self._rows.shape)
-                if self._div is None:
-                    np.copyto(data, self._rows)
-                else:
-                    np.divide(self._rows, self._div[:, None], out=data, dtype=np.float64)
-                data.flags.writeable = False
+            data = self._widen(self._rows, self._div)
+            data.flags.writeable = False
             object.__setattr__(self, "_data", data)
         return self._data
 
     @staticmethod
-    def _widen(rows: np.ndarray, div, which) -> np.ndarray:
-        """Stored rows as the float64 rows of data: the same bytes as
-        data[which], elementwise."""
-        rows = rows.astype(np.float64)
-        return rows if div is None else rows / div[which, None]
+    def _widen(rows: np.ndarray, div: np.ndarray | None) -> np.ndarray:
+        """Stored rows as float64, each divided by its entry of div when
+        given: rows itself when they are float64 and div is None, else a
+        new array that each value is widened, and divided, straight into,
+        with no temporary. The bytes of rows.astype(float64) / div[:, None]."""
+        if div is None:
+            return rows.astype(np.float64, copy=False)
+        return np.divide(rows, div[:, None], dtype=np.float64)
 
     def _take(self, idx) -> np.ndarray:
         """data[idx] for an index array, without building data."""
         if self._data is not None:
             return self._data[idx]
-        return self._widen(self._rows[idx], self._div, idx)
-
-    def _sq_norms(self) -> np.ndarray:
-        """einsum("ij,ij->i", data, data), the squared norms of data's rows,
-        computed once and kept; read-only."""
-        if self._sq is None:
-            sq = np.einsum("ij,ij->i", self.data, self.data)
-            sq.flags.writeable = False
-            object.__setattr__(self, "_sq", sq)
-        return self._sq
+        return self._widen(self._rows[idx], None if self._div is None else self._div[idx])
 
     def _row_norms(self) -> np.ndarray:
         """The float64 norms of the stored rows (before any division), as
@@ -310,15 +297,6 @@ def _as_row_matrix(selected, dim: int | None = None) -> np.ndarray:
             f"selected rows have dimension {mat.shape[1]}, query has {dim}"
         )
     return mat
-
-
-def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
-    """Clamp round-off negatives to 0; raise on negatives beyond tolerance,
-    NEGATIVE_VARIANCE_TOL times `scale` (the size of the variances the
-    value was computed from) when that exceeds 1."""
-    if value < -NEGATIVE_VARIANCE_TOL * max(scale, 1.0):
-        raise NumericalFailure(f"{context} is negative beyond round-off: {value!r}")
-    return max(value, 0.0)
 
 
 def _sum_sq_norms(rows: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ same way. Repeated selection of the same row is always permitted for the
 variance based strategies — observing a row twice is informative under
 noise — while nearest-neighbor distinct mode excludes prior picks. Ties are
 broken by the smallest row index everywhere, which keeps every strategy
-deterministic; for the variance based strategies that includes rows equal
-to the pick whose computed scores differ from its score by rounding.
+deterministic. The variance based strategies run the kernel on a set's
+distinct rows and name each pick by the first index of its row, so a tie
+between equal rows goes to the smallest index by construction.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    NEGATIVE_VARIANCE_TOL,
-    EmbeddingSet,
-    KernelConfig,
-    _clamp_variance,
-    as_query,
-)
+from .core import NEGATIVE_VARIANCE_TOL, EmbeddingSet, KernelConfig, as_query
 from .errors import NotEnoughCandidates, NumericalFailure, check_param
 
 # The greedy kernel folds its rank-one updates into A this many at a time,
@@ -69,14 +64,6 @@ _RING_MIN_WORK = 2 ** 16
 # diagonals went negative in 2 of 100 runs; with it, σ² stayed as close to
 # posterior_variance as with the GEMV alone at every λ′ tried (1e-12 to 1).
 _RING_DEN_FLOOR = 2.0 ** -20
-
-# How far rounding may move the conditional diagonals of two equal rows
-# apart, as a fraction of the largest starting diagonal: 2^20 ulps. On 200
-# duplicated pools (20 picks each), the diagonals of equal rows stayed
-# within 2 ulps of each other under uncertainty sampling at λ′ = 1e-12 and
-# 1, and their sift scores, at five λ′ from 1e-12 to 1, within 3400 ulps
-# over the score's denominator, relatively.
-_TWIN_SLACK = 2.0 ** -32
 
 # A pick whose denominator k(p,p)+λ′ is below this fraction of its own
 # starting diagonal k0(p,p) adds nothing (see _greedy_kernel). That k(p,p)
@@ -291,6 +278,15 @@ def _project(Z: np.ndarray | None, p: int, A: np.ndarray | None,
     return v - W.T @ _times_z(W, Z, p) if len(W) else v
 
 
+def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
+    """Clamp round-off negatives to 0; raise on negatives beyond tolerance,
+    NEGATIVE_VARIANCE_TOL times `scale` (the size of the variances the
+    value was computed from) when that exceeds 1."""
+    if value < -NEGATIVE_VARIANCE_TOL * max(scale, 1.0):
+        raise NumericalFailure(f"{context} is negative beyond round-off: {value!r}")
+    return max(value, 0.0)
+
+
 def _greedy_kernel(
     X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray
 ) -> tuple[list[int], list[float], list[float]]:
@@ -311,20 +307,20 @@ def _greedy_kernel(
 
     A step costs O(r²) for w plus the column. A new pick's column is one
     GEMV against Z, K·r work, and w itself when Z is I, whose products with
-    z_p are read as columns (_times_z). A repeat pick of row p, last picked
-    g < R steps before at step s, builds it from the columns, w and roots
-    of the last R steps, which the kernel keeps (R from _ring_size): A_s z_p is
-    root_s·w_s, and every step j since took w_j(w_j·z_p) off it, so
+    z_p are read as columns (_times_z). Otherwise a repeat pick of row p,
+    last picked g < R steps before at step s, builds it from the columns, w
+    and roots of the last R steps, which the kernel keeps (R from
+    _ring_size): A_s z_p is root_s·w_s, and every step j since took
+    w_j(w_j·z_p) off it, so
         Z A_t z_p = root_s·col_s − Σ_{j=s}^{t−1} col_j (w_j·z_p),
     g·K work. Its value differs from the GEMV's only by rounding, which
     _RING_DEN_FLOOR keeps small: a pick whose denominator is below it takes
     the GEMV.
 
-    pick(step, kq, diag, slack) returns the next row of X and the objective
-    value recorded for it, given the current conditional k(q,·) and k(·,·)
-    and how far rounding may move two equal rows' diagonals apart. diag0
-    is the starting diagonal einsum("ij,ij->i", X, X); the kernel works on
-    a copy. Returns the order, objective trace and sigma trace.
+    pick(step, kq, diag) returns the next row of X and the objective value
+    recorded for it, given the current conditional k(q,·) and k(·,·).
+    diag0 is the starting diagonal einsum("ij,ij->i", X, X); the kernel
+    works on a copy. Returns the order, objective trace and sigma trace.
 
     A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times its own
     starting diagonal is round-off, not information, and so is its k(q,p).
@@ -344,27 +340,26 @@ def _greedy_kernel(
     r = K if Z is None else Z.shape[1]
     W = np.empty((_FOLD_EVERY, r))
     m = 0
-    R = _ring_size(K, r, n_select)
+    R = 0 if Z is None else _ring_size(K, r, n_select)
     cols, ws, roots = np.empty((R, K)), np.empty((R, r)), np.empty(R)
     col, tmp = np.empty(K), np.empty(K)
     last: dict[int, int] = {}  # row -> the step it was last picked at
     kq = X @ qv
     diag = diag0.copy()
     scale = float(diag.max())
-    diag_tol, slack = NEGATIVE_VARIANCE_TOL * max(scale, 1.0), _TWIN_SLACK * scale
+    diag_tol = NEGATIVE_VARIANCE_TOL * max(scale, 1.0)
     ring_floor = _RING_DEN_FLOOR * scale
-    sigma0 = float(qv @ qv)
-    sigma = _clamp_variance(sigma0, "sigma trace", sigma0)
+    sigma = sigma0 = float(qv @ qv)
     sigma_trace = [sigma]
     order: list[int] = []
     objective_trace: list[float] = []
     for step in range(n_select):
-        best, objective = pick(step, kq, diag, slack)
+        best, objective = pick(step, kq, diag)
         den = float(diag[best]) + lam
         skip = den < _DEN_FLOOR * diag0[best]
         while skip and (kq[best] or diag[best]):
             kq[best] = diag[best] = 0.0
-            best, objective = pick(step, kq, diag, slack)
+            best, objective = pick(step, kq, diag)
             den = float(diag[best]) + lam
             skip = den < _DEN_FLOOR * diag0[best]
         order.append(best)
@@ -387,7 +382,7 @@ def _greedy_kernel(
             a, b = s % R, step % R
             parts = (slice(a, b),) if a < b else (slice(a, R), slice(0, b))
             for i, j in enumerate(parts):
-                coef = _times_z(ws[j], Z, best)
+                coef = ws[j] @ Z[best]
                 if i == 0:
                     coef[0] -= roots[a]
                 coef /= -root
@@ -423,28 +418,75 @@ def _greedy_kernel(
     return order, objective_trace, sigma_trace
 
 
-def _first_twin(X: np.ndarray, scores: np.ndarray, best: int, floor: float,
-                diag: np.ndarray, slack: float) -> int:
-    """The smallest index whose row equals X[best], among the rows before
-    best that score at least floor and whose diagonal is within slack of
-    best's; best when there is none.
+def _first_rows(X: np.ndarray) -> np.ndarray | None:
+    """The index of the first of each group of equal rows of X, ascending,
+    or None when no two rows are equal. -0.0 and 0.0 are equal.
 
-    Equal rows have equal exact scores, so ties go to the smallest index
-    among them. Their computed scores need not be equal: OpenBLAS's GEMV
-    can give two equal rows different last bits, and the argmax then lands
-    on any of them. floor is the least an equal row's score can be after
-    such rounding. A step where no earlier row reaches it costs one max
-    over their scores.
+    Each row's fingerprint is its _rescore against one fixed vector, a
+    block of _RESCORE_BLOCK rows at a time. _rescore gives a row the same
+    value wherever it sits, so equal rows have equal fingerprints; only
+    rows whose fingerprint repeats or is not finite are compared by value.
     """
-    if best == 0:
-        return best
-    head = scores[:best]
-    if head[head.argmax()] < floor:
-        return best
-    near = np.flatnonzero(head >= floor)
-    near = near[np.abs(diag[near] - diag[best]) <= slack]
-    same = (X[near] == X[best]).all(axis=1)
-    return int(near[same.argmax()]) if same.any() else best
+    K, d = X.shape
+    v = np.cos(np.arange(1, d + 1))
+    f = np.empty(K)
+    for start in range(0, K, _RESCORE_BLOCK):
+        f[start:start + _RESCORE_BLOCK] = _rescore(X[start:start + _RESCORE_BLOCK], v)
+    by = np.argsort(f, kind="stable")
+    f = f[by]
+    tie = f[1:] == f[:-1]
+    suspect = ~np.isfinite(f)
+    suspect[1:] |= tie
+    suspect[:-1] |= tie
+    if not suspect.any():
+        return None
+    sub = np.sort(by[suspect])
+    _, first = np.unique(X[sub], axis=0, return_index=True)
+    if first.size == sub.size:
+        return None
+    keep = np.ones(K, dtype=bool)
+    keep[sub] = False
+    keep[sub[first]] = True
+    return np.flatnonzero(keep)
+
+
+def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig,
+                     method: str, score) -> SelectionResult:
+    """The greedy kernel over the set's distinct rows, each step picking the
+    first largest of score(kq, diag, buf), with buf a 2×K scratch array,
+    and each pick named by the first index of its row in the set.
+
+    The kernel's start state depends on the rows alone, so it is computed
+    on a set's first selection and kept in its _sq slot, read-only: the
+    distinct rows, their squared norms einsum("ij,ij->i", rows, rows), and
+    the index in data of each (_first_rows), None when that is every row
+    and the rows are data itself."""
+    qv = _validate_inputs(candidates, q, n_select)
+    if candidates._sq is None:
+        X, keep = candidates.data, _first_rows(candidates.data)
+        if keep is not None:
+            X = X[keep]
+            X.flags.writeable = False
+        sq = np.einsum("ij,ij->i", X, X)
+        sq.flags.writeable = False
+        object.__setattr__(candidates, "_sq", (X, sq, keep))
+    X, sq, keep = candidates._sq
+    buf = np.empty((2, X.shape[0]))
+
+    def pick(step, kq, diag):
+        scores = score(kq, diag, buf)
+        best = int(scores.argmax())
+        return best, float(scores[best])
+
+    order, objective_trace, sigma_trace = _greedy_kernel(
+        X, qv, n_select, cfg.lambda_prime, pick, sq)
+    return SelectionResult(
+        order=tuple(order if keep is None else keep[order].tolist()),
+        objective_trace=tuple(objective_trace),
+        sigma_trace=tuple(sigma_trace),
+        method=method,
+        lambda_prime=cfg.lambda_prime,
+    )
 
 
 def sift_select(
@@ -459,36 +501,20 @@ def sift_select(
     reduction k²(q,x)/(k(x,x)+λ′) under the current conditional kernel; the
     argmax (smallest index on ties, equal rows included) is selected and the
     kernel is conditioned on it. sigma_trace obeys
-    sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]. A step costs a
-    few elementwise passes over the K candidates plus O(min(K, d)²), and one
-    K×min(K, d) matrix-vector product. A step that picks again a row picked
-    g < min(K, d)/4 steps before builds that product's column from kept
-    ones in g·K instead, on pools large enough to gain (see _greedy_kernel).
+    sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]. With K distinct
+    rows, a step costs a few elementwise passes over them plus
+    O(min(K, d)²), and one K×min(K, d) matrix-vector product, whose column
+    a row picked again a few steps before may build from kept ones instead
+    (see _greedy_kernel).
     """
-    qv = _validate_inputs(candidates, q, n_select)
     lam = cfg.lambda_prime
-    X = candidates.data
-    scores, den = np.empty(candidates.rows), np.empty(candidates.rows)
 
-    def pick(step, kq, diag, slack):
-        np.multiply(kq, kq, out=scores)
-        np.add(diag, lam, out=den)
-        np.divide(scores, den, out=scores)
-        best = int(scores.argmax())
-        # an equal row's score lies within slack/den of best's, relatively
-        floor = scores[best] * (1 - slack / den[best])
-        best = _first_twin(X, scores, best, floor, diag, slack)
-        return best, float(scores[best])
+    def score(kq, diag, buf):
+        np.multiply(kq, kq, out=buf[0])
+        np.add(diag, lam, out=buf[1])
+        return np.divide(buf[0], buf[1], out=buf[0])
 
-    order, objective_trace, sigma_trace = _greedy_kernel(
-        X, qv, n_select, lam, pick, candidates._sq_norms())
-    return SelectionResult(
-        order=tuple(order),
-        objective_trace=tuple(objective_trace),
-        sigma_trace=tuple(sigma_trace),
-        method="sift",
-        lambda_prime=lam,
-    )
+    return _select_distinct(candidates, q, n_select, cfg, "sift", score)
 
 
 def uncertainty_sampling_select(
@@ -504,23 +530,8 @@ def uncertainty_sampling_select(
     baseline), but sigma_trace still tracks the query's conditional variance
     for comparison with the query-aware strategies.
     """
-    qv = _validate_inputs(candidates, q, n_select)
-    X = candidates.data
-
-    def pick(step, kq, diag, slack):
-        best = int(diag.argmax())
-        best = _first_twin(X, diag, best, diag[best] - slack, diag, slack)
-        return best, float(diag[best])
-
-    order, objective_trace, sigma_trace = _greedy_kernel(
-        X, qv, n_select, cfg.lambda_prime, pick, candidates._sq_norms())
-    return SelectionResult(
-        order=tuple(order),
-        objective_trace=tuple(objective_trace),
-        sigma_trace=tuple(sigma_trace),
-        method="us",
-        lambda_prime=cfg.lambda_prime,
-    )
+    return _select_distinct(candidates, q, n_select, cfg, "us",
+                            lambda kq, diag, buf: diag)
 
 
 def nn_select(
@@ -558,7 +569,7 @@ def nn_select(
     X = X[:len(rows)]
     slot = {row: i for i, row in enumerate(rows)}
 
-    def pick(step, kq, diag, slack):
+    def pick(step, kq, diag):
         return slot[order[step]], score[order[step]]
 
     _, objective_trace, sigma_trace = _greedy_kernel(

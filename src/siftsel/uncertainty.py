@@ -59,9 +59,9 @@ class ConfidenceParams:
     """Constants feeding the confidence-width formulas.
 
     These are properties of the downstream predictor class, not of the
-    embeddings, so they are caller-supplied: vocab_size V and lipschitz L /
-    kappa κ describe the classification head's output space and curvature
-    bounds, norm_bound B the weight-norm ball, reg_lambda λ the training
+    embeddings, so they are caller-supplied: vocab_size V and lipschitz L
+    describe the classification head's output space and curvature bound,
+    norm_bound B the weight-norm ball, reg_lambda λ the training
     regularizer, noise_rho ρ the sub-Gaussian observation noise (regression
     only).
     """
@@ -72,12 +72,11 @@ class ConfidenceParams:
     dim: int
     reg_lambda: float
     noise_rho: float = 1.0
-    kappa: float = 1.0
 
     def __post_init__(self):
         check_param("vocab_size", self.vocab_size, ge=2, integer=True)
         check_param("dim", self.dim, ge=1, integer=True)
-        for name in ("norm_bound", "lipschitz", "reg_lambda", "noise_rho", "kappa"):
+        for name in ("norm_bound", "lipschitz", "reg_lambda", "noise_rho"):
             check_param(name, getattr(self, name), gt=0)
 
 

@@ -27,7 +27,8 @@ from siftsel import (
     realized_info_gain,
     tv_distance,
 )
-from siftsel.core import _block_rows, _clamp_variance
+from siftsel.core import _block_rows
+from siftsel.selectors import _clamp_variance
 
 
 class TestEmbeddingSet:

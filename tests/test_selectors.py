@@ -149,7 +149,12 @@ class TestGreedyKernel:
     def test_equal_rows_tie_to_their_smallest_index(self, select):
         """Every pick is the first row equal to it. OpenBLAS's GEMV can give
         equal rows different last bits, and a plain argmax then took a
-        later copy in 56 of these 200 pools (39 for uncertainty sampling)."""
+        later copy in 56 of these 200 pools (39 for uncertainty sampling).
+        A set whose rows repeat selects as the set of its distinct rows
+        does, picks mapped back to their first indices: the same order,
+        objectives and σ², byte for byte. Run over every copy, the kernel's
+        traces differed from these in the last bits on 133 of the pools
+        (134 for uncertainty sampling)."""
         for seed in range(200):
             space, q, cfg = duplicated_pool(seed)
             first = {}
@@ -157,6 +162,13 @@ class TestGreedyKernel:
                 first.setdefault(row, i)
             r = select(space, q, 20, cfg)
             assert all(first[bytes(space.data[p])] == p for p in r.order), seed
+            keep = sorted(first.values())
+            distinct = select(EmbeddingSet(data=space.data[keep], normalized=True), q, 20, cfg)
+            assert r.order == tuple(keep[p] for p in distinct.order), seed
+            assert np.array(r.objective_trace).tobytes() == \
+                np.array(distinct.objective_trace).tobytes(), seed
+            assert np.array(r.sigma_trace).tobytes() == \
+                np.array(distinct.sigma_trace).tobytes(), seed
 
     @staticmethod
     def _check_against_direct(r, X, q, cfg):
@@ -254,9 +266,10 @@ class TestGreedyKernel:
     def test_identity_factor_is_read_not_multiplied(self, monkeypatch, select, lam, ring):
         """With fewer rows than dimensions Z is I, passed as None: the
         kernel reads the columns of A and W and takes w as the pick's column
-        rather than multiplying by I. Over 130 picks on duplicate-heavy wide
-        pools, with and without kept columns, its order and traces are the
-        bytes of the kernel handed an explicit identity."""
+        rather than multiplying by I, and keeps no columns, whatever
+        _RING_MIN_WORK says. Over 130 picks on duplicate-heavy wide pools,
+        its order and traces are the bytes of the kernel handed an explicit
+        identity without kept columns."""
         def explicit(X):
             return np.eye(X.shape[0]), X @ X.T
 
@@ -277,29 +290,60 @@ class TestGreedyKernel:
             fast = select(space, q, picks, cfg)
             with monkeypatch.context() as m:
                 m.setattr(selectors, "_candidate_factor", explicit)
+                m.setattr(selectors, "_RING_MIN_WORK", math.inf)
                 full = select(space, q, picks, cfg)
             assert fast.order == full.order
             assert fast.objective_trace == full.objective_trace
             assert fast.sigma_trace == full.sigma_trace
 
     def test_the_starting_diagonal_is_kept_per_set(self):
-        """The squared row norms the kernel starts from are computed once
-        per set, equal a fresh einsum's bytes, are never written to, and do
-        not travel with a pickled set."""
+        """The state the kernel starts from is computed once per set: the
+        distinct rows, their squared norms (a fresh einsum's bytes) and
+        their indices. With no two rows equal the rows are data itself and
+        the indices None; with copies, the rows are the first of each group.
+        None of it is writable, and none of it travels with a pickled set."""
         rng = np.random.default_rng(61)
         space = normalize_rows(EmbeddingSet(data=rng.normal(size=(300, 12)) * 3))
+        copies = EmbeddingSet(data=space.data[[0, 1, 0, 2, 1]], normalized=True)
         q, cfg = unit_vector(rng, 12), KernelConfig()
-        fresh = np.einsum("ij,ij->i", space.data, space.data).tobytes()
-        assert space._sq is None
-        sift = sift_select(space, q, 30, cfg)
-        kept = space._sq
-        assert kept.tobytes() == fresh and not kept.flags.writeable
-        us = uncertainty_sampling_select(space, q, 30, cfg)
-        assert space._sq is kept and kept.tobytes() == fresh
-        back = pickle.loads(pickle.dumps(space))
-        assert back._sq is None
-        assert sift_select(back, q, 30, cfg) == sift
-        assert uncertainty_sampling_select(back, q, 30, cfg) == us
+        for space, first in ((space, None), (copies, [0, 1, 3])):
+            assert space._sq is None
+            sift = sift_select(space, q, 30, cfg)
+            kept = space._sq
+            X, sq, keep = kept
+            if first is None:
+                assert X is space.data and keep is None
+            else:
+                assert keep.tolist() == first
+                assert X.tobytes() == space.data[first].tobytes() and not X.flags.writeable
+            assert sq.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+            assert not sq.flags.writeable
+            us = uncertainty_sampling_select(space, q, 30, cfg)
+            assert space._sq is kept
+            back = pickle.loads(pickle.dumps(space))
+            assert back._sq is None
+            assert sift_select(back, q, 30, cfg) == sift
+            assert uncertainty_sampling_select(back, q, 30, cfg) == us
+
+    def test_an_identity_factor_keeps_no_columns(self, monkeypatch):
+        """With fewer rows than dimensions a pick's column is w itself, so
+        kept columns would only add work and rounding: on a 300×512
+        near-duplicate pool, past the default _RING_MIN_WORK, where picks
+        repeat within the window, the output is the same bytes with the
+        ring's threshold at 0 as with no ring."""
+        rng = np.random.default_rng(62)
+        base = unit_rows(rng, 12, 512)
+        X = base[rng.integers(0, 12, size=300)] + 1e-3 * rng.normal(size=(300, 512))
+        space = normalize_rows(EmbeddingSet(data=X))
+        q = unit_vector(rng, 512)
+        assert 300 * 300 >= selectors._RING_MIN_WORK
+        for lam in (1e-4, 0.01):
+            ring, gemv = with_and_without_ring(monkeypatch, space, q, 100,
+                                               KernelConfig(lambda_prime=lam), ring_from=0)
+            assert len(set(ring.order)) < 100
+            for a, b in zip((ring.order, ring.objective_trace, ring.sigma_trace),
+                            (gemv.order, gemv.objective_trace, gemv.sigma_trace)):
+                assert np.array(a).tobytes() == np.array(b).tobytes()
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-4, 0.01, 1.0])
     def test_repeat_columns_match_the_gemv(self, monkeypatch, lam):
@@ -354,6 +398,54 @@ class TestGreedyKernel:
         assert near >= 10
         np.testing.assert_allclose(ring.sigma_trace, gemv.sigma_trace, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ring.objective_trace, gemv.objective_trace, rtol=0, atol=1e-12)
+
+
+class TestFirstRows:
+    """_first_rows compares by value every pair of rows that its
+    fingerprints cannot tell apart."""
+
+    def test_colliding_fingerprints_keep_distinct_rows_apart(self, monkeypatch):
+        """With every fingerprint forced to 0, all rows are compared by
+        value: distinct rows stay apart, copies fold into their first
+        index, and selection is unchanged."""
+        rng = np.random.default_rng(63)
+        X = rng.normal(size=(40, 6))
+        dup = X[[0, 1, 2, 1, 0, 3]]
+        runs = []
+        for collide in (False, True):
+            with monkeypatch.context() as m:
+                if collide:
+                    m.setattr(selectors, "_rescore", lambda rows, v: np.zeros(len(rows)))
+                assert selectors._first_rows(X) is None
+                assert selectors._first_rows(dup).tolist() == [0, 1, 2, 5]
+                for seed in range(20):
+                    space, q, cfg = duplicated_pool(seed)
+                    runs.append([select(space, q, 20, cfg)
+                                 for select in (sift_select, uncertainty_sampling_select)])
+        assert runs[:20] == runs[20:]
+
+    def test_rows_whose_fingerprints_overflow_are_compared(self):
+        """Entries near float64's maximum, signed to match the fingerprint
+        vector, overflow every fingerprint; copies are still found."""
+        d = 4
+        v = np.cos(np.arange(1, d + 1))
+        row = np.sign(v) * 1.7e308
+        other = row.copy()
+        other[-1] = -other[-1]
+        X = np.array([row, row, other, row, other])
+        assert not np.isfinite(_rescore(X, v)).any()
+        assert selectors._first_rows(X).tolist() == [0, 2]
+        assert selectors._first_rows(X[[0, 2]]) is None
+
+    def test_a_signed_zero_is_one_row(self):
+        """Rows that differ only in the sign of a zero are equal rows, as
+        their kernel values are: the later one is never picked."""
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
+        assert selectors._first_rows(X).tolist() == [0, 2]
+        space = EmbeddingSet(data=X, normalized=True)
+        for select in (sift_select, uncertainty_sampling_select):
+            r = select(space, np.array([0.6, 0.8]), 6, KernelConfig())
+            assert 1 not in r.order and 0 in r.order
 
 
 class TestNnSelect:
