@@ -17,7 +17,8 @@ read from a file) and their float64 norms, taken by the file reader as it
 checks the rows or by normalize_rows, which divides by them; its float64
 matrix is built on first use. Every value that ranks, picks
 or is written is computed in 64-bit: float32 arithmetic serves only the
-scan in selectors that discards rows provably outside a top k. EmbeddingSet
+scan in selectors and the filter after it, which discard rows provably
+outside a top k before the rows they keep are widened. EmbeddingSet
 checks every row it is given. Arrays the package makes itself, by reading a
 file, normalizing or preselecting, are checked as they are made and enter a
 set through EmbeddingSet._certified without a second pass.
@@ -51,9 +52,10 @@ _ZERO_NORM_CUTOFF = 1e-12
 # of the one float64 buffer they are squared in (4 MB: 4096 rows at d = 128).
 # Blocks of 2^16 values sum 100k×128 norms faster (20 against 26 ms), but
 # glibc raises its dynamic mmap threshold only to the largest block freed.
-# After a 512 KB buffer, a serving query's K-sized score arrays (0.8 MB at
+# After a 512 KB buffer, a serving query's float64 score arrays (0.8 MB at
 # 100k rows) came from fresh pages each time: 456 page faults, and about
-# 0.8 ms, a query.
+# 0.8 ms, a query. The scores are now float32 (0.4 MB), and after a 512 KB
+# buffer a query took no fault; past 131,072 rows they would pass 512 KB.
 _BLOCK_VALUES = 2 ** 19
 
 def _check_finite(data: np.ndarray, first_row: int = 0) -> None:
@@ -221,18 +223,30 @@ class EmbeddingSet:
             object.__setattr__(self, "_norms", _sum_sq_norms(self._rows))
         return self._norms
 
-    def _norm_reach(self) -> tuple[float, float, float]:
-        """(a, reach, inv_div), computed once and kept: with n_i the computed
-        norm of stored row i, (n_i + a)(1 + 2γ_{d+2}) bounds its exact norm;
-        reach·(1 + 2γ_{d+2}) bounds every row's exact norm over its divisor,
-        and inv_div every reciprocal divisor (1 without divisors)."""
+    def _norm_reach(self) -> tuple[float, float, float, np.ndarray | None, float]:
+        """(a, reach, inv_div, rdiv, p), computed once and kept: with n_i the
+        computed norm of stored row i, (n_i + a)(1 + 2γ_{d+2}) bounds its
+        exact norm; reach·(1 + 2γ_{d+2}) bounds every row's exact norm over
+        its divisor, and inv_div every reciprocal divisor (1 without
+        divisors). rdiv is 1/div rounded to the storage dtype, read-only, and
+        fl(t·rdiv_i) in that dtype is within p·|t|/div_i plus half the
+        dtype's smallest subnormal of t/div_i, for any t that does not
+        overflow; None and 0 without divisors."""
         if self._reach is None:
             a = math.sqrt(self.dim) * 2.0 ** -537  # √(d × the smallest float64 subnormal)
             if self._div is None:
-                reach = (float(self._row_norms().max()) if self.rows else 0.0) + a, 1.0
+                reach = (float(self._row_norms().max()) if self.rows else 0.0) + a, 1.0, None, 0.0
             else:
                 inv = (1 + 2.0 ** -52) / float(self._div.min())
-                reach = 1 + a * inv, inv
+                rdiv = np.reciprocal(self._div).astype(self._rows.dtype, copy=False)
+                rdiv.flags.writeable = False
+                # rdiv_i is within rho/div_i of 1/div_i: rounded twice, in
+                # float64 and then the storage dtype, and by at most half a
+                # subnormal where it is one; the product rounds once more
+                fin = np.finfo(rdiv.dtype)
+                u, tiny = float(fin.eps) / 2, float(fin.smallest_subnormal)
+                rho = u + 2.0 ** -52 + float(self._div.max()) * tiny / 2
+                reach = 1 + a * inv, inv, rdiv, rho + u * (1 + rho)
             object.__setattr__(self, "_reach", (a, *reach))
         return self._reach
 

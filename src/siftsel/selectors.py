@@ -151,16 +151,18 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     their scores and their float64 rows (the bytes of space.data[rows]),
     from one scan of the stored rows.
 
-    1. Scan: t = x·q̃ for every stored row x, in the storage dtype (an
-       SGEMV for float32 rows), with q̃ the query rounded to that dtype;
-       ŝ = t / div in float64, div being the row's norm when the set
-       stores unnormalized rows with their norms, else 1.
-    2. Filter (_survivors): ŝ lies within E_i of the row's exact rescored
-       score r_i, so every row with r_i at least the k-th largest r has
-       ŝ_i + E_i ≥ the k-th largest ŝ − E; only rows below that are
-       dropped. Rows with a non-finite ŝ are always kept. When E is one
-       number (every set with divisors, so every normalized set) and every
-       ŝ is finite, the k-th largest ŝ − E comes from one partition of ŝ.
+    1. Scan: ŝ = x·q̃ for every stored row x, in the storage dtype (an
+       SGEMV for float32 rows), with q̃ the query rounded to that dtype,
+       multiplied in place by the row's reciprocal divisor rounded to that
+       dtype (_norm_reach) when the set stores unnormalized rows with
+       their norms.
+    2. Filter (_survivors), still in the storage dtype: ŝ lies within E_i
+       of the row's exact rescored score r_i, so every row with r_i at
+       least the k-th largest r has ŝ_i + E_i ≥ the k-th largest ŝ − E;
+       only rows below that are dropped. Rows with a non-finite ŝ are
+       always kept. When E is one number (every set with divisors, so every
+       normalized set) and every ŝ is finite, the k-th largest ŝ comes from
+       one partition of ŝ, and only the survivors are widened to float64.
     3. Rebuild the kept rows in float64, a block at a time.
     4. Rescore them with _rescore and take _top_k, which keeps ties in
        index order, as the full stable sort does. When the kept rows fit
@@ -170,16 +172,18 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     The bound, from Higham (Accuracy and Stability of Numerical
     Algorithms, §3.1): a length-d dot product in unit roundoff u errs by at
     most γ_d·|x|ᵀ|y| in any summation order, and each product that
-    underflows adds at most the dtype's smallest subnormal. With
+    underflows adds at most the dtype's smallest subnormal, tiny. With
     ‖x‖ ≥ |x|ᵀ|y|/‖y‖ and g = γ_{d+2} in float64,
         |t − x·q| ≤ ‖x‖(γ_d‖q̃‖ + ‖q − q̃‖) + 2d·tiny     (scan, rounded query)
+        |ŝ − t/div| ≤ p·‖x‖‖q̃‖(1 + γ_d)/div + tiny      (product, p ≈ 2u + u²)
         |r − x·q/div| ≤ g·‖x‖‖q‖/div + 4d·tiny₆₄(1 + ‖q‖) (rebuild and rescore)
-    and the division and the two comparisons each round by at most
-    u₆₄|ŝ|. E_i sums these with ‖x‖ replaced by an upper bound from the
-    computed float64 norm, and every factor grows by (1 + 2g)² to cover
-    the float64 evaluation of the norms and of E itself. For float64
-    rows q̃ = q and the same bound holds with u = 2⁻⁵³. A rescored score
-    that could overflow float64 keeps every row.
+    with p from _norm_reach, 0 without divisors, and the two comparisons
+    each round by at most u₆₄|ŝ|. E_i sums these with ‖x‖ replaced by an
+    upper bound from the computed float64 norm, and every factor grows by
+    (1 + 2g)² to cover the float64 evaluation of the norms and of E
+    itself. For float64 rows q̃ = q and the same bound holds with
+    u = 2⁻⁵³. A rescored score that could overflow float64 keeps every
+    row.
     """
     rows, div = space._rows, space._div
     d = space.dim
@@ -187,17 +191,18 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     u, tiny = float(fin.eps) / 2, float(fin.smallest_subnormal)
     g, gd = _gamma(d + 2, _U64), _gamma(d, u)
     grow = (1 + 2 * g) ** 2
-    under, reach, inv_div = space._norm_reach()
+    under, reach, inv_div, rdiv, p = space._norm_reach()
     with np.errstate(over="ignore", invalid="ignore"):
         qs = qv.astype(rows.dtype)
-        t = rows @ qs
-        s = np.asarray(t, dtype=np.float64) if div is None else t / div
+        s = rows @ qs
+        if rdiv is not None:
+            s *= rdiv
         qs64 = qs.astype(np.float64)
         qn, qsn, dq = _norm(qv), _norm(qs64), _norm(qv - qs64)
         # E per unit of the bound on ‖x‖/div, then the underflow terms
-        c1 = grow * (gd * qsn + dq + g * qn + 3 * _U64 * (1 + gd) * qsn)
+        c1 = grow * (gd * qsn + dq + g * qn + (p + 2 * _U64) * (1 + gd) * qsn)
         E = c1 * reach if div is not None else space._row_norms() * c1 + c1 * under
-        E = E + grow * (2 * d * tiny * inv_div + 4 * d * _TINY64 * (1 + qn))
+        E = E + grow * ((2 * d * inv_div * (1 + p) + 1) * tiny + 4 * d * _TINY64 * (1 + qn))
         if not reach * qn * grow < np.finfo(np.float64).max / 4:
             keep = np.arange(space.rows)
         else:
@@ -214,16 +219,25 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
 
 def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
     """The indices i, ascending, with s_i + E_i not below the k-th largest
-    s − E, and those of every non-finite s_i.
+    s − E, and those of every non-finite s_i, for scores s in their storage
+    dtype and bounds E in float64.
 
     E is a K-vector, or one number for every row. In the second case, when
-    the sum of s is finite (so is every s_i), x ↦ fl(x − E) is monotone, so
-    the k-th largest s − E is fl(kth − E) for the k-th largest s, found by
-    one partition of s in place of the per-row path's three passes.
+    the sum of s is finite (so is every s_i), the test is s_i ≥ kth − 2E
+    for the k-th largest s, found by one partition of s. kth − 2E is
+    evaluated in float64 and rounded up to s's dtype: a value of that
+    dtype is at least a float64 number exactly when it is at least the
+    number's round-up, so the one compare runs in s's dtype and keeps what
+    a float64 compare keeps. The per-row path works in float64.
     """
     if np.ndim(E) == 0 and math.isfinite(np.add.reduce(s)):
         kth = np.partition(s, s.size - k)[s.size - k]
-        return np.flatnonzero(s + E >= kth - E)
+        lo = float(kth) - 2 * E
+        cut = s.dtype.type(lo)
+        if float(cut) < lo:
+            cut = np.nextafter(cut, s.dtype.type(np.inf))
+        return np.flatnonzero(s >= cut)
+    s = np.asarray(s, dtype=np.float64)
     lo = s - E
     bad = ~np.isfinite(s)
     if bad.any():

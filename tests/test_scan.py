@@ -8,6 +8,7 @@ families below aim at the places where a scan in lower precision could drop
 a row it must keep.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -139,6 +140,72 @@ def test_a_divided_scan_that_overflows_keeps_the_row():
     assert nn_select(space, q, 2, KernelConfig()).order == (1, 0)
 
 
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def _product_overflows(rng):
+    """Rows of norm about 1e-3 against a query near float32's maximum: the
+    scan stays finite, and its product with 1/div ≈ 700 overflows for the
+    rows closest to q."""
+    q = np.full(2, 0.75 * F32_MAX)
+    return rng.normal(size=(60, 2)) * 1e-3, q
+
+
+def _product_underflows(rng):
+    """Rows of norm about 1e20 against a query of float32 subnormals,
+    exact in float32: the scan is near 1e-19 and its product with
+    1/div ≈ 1e-20 lands among the subnormals."""
+    return rng.normal(size=(60, 3)) * 1e20, rng.integers(-2**20, 2**20, size=3) * F32_TINY
+
+
+def _reciprocal_underflows(rng):
+    """One-column rows near float32's maximum: every row normalizes to
+    ±1, so they tie, and 1/div is a float32 subnormal whose rounding errs
+    by up to 4u relative. Rows 0 and 1 err most in either direction."""
+    x = np.array([3.3909497e38, 3.3898979e38])
+    return np.concatenate([x, rng.uniform(2e38, 3.4e38, size=40)])[:, None], np.array([1.0])
+
+
+@pytest.mark.parametrize("case", [_product_overflows, _product_underflows,
+                                  _reciprocal_underflows])
+def test_a_product_with_the_reciprocal_divisors_that_leaves_float32s_range(case):
+    """On a normalized float32 set the scan's scores are multiplied by
+    1/div rounded to float32, in float32. Where that product overflows, its
+    scores are not finite and the per-row path keeps the rows; where it
+    underflows, or 1/div itself is a subnormal, the bound covers the lost
+    bits. The picks still equal the full stable argsort."""
+    x, q = case(np.random.default_rng(11))
+    space = _space(x.astype(np.float32), True)
+    with np.errstate(over="ignore"):
+        s = (space._rows @ q.astype(np.float32)) * space._norm_reach()[3]
+    if case is _product_overflows:
+        assert np.isinf(s).any() and np.isfinite(space._rows @ q.astype(np.float32)).all()
+    elif case is _product_underflows:
+        assert ((s != 0) & (np.abs(s) < np.finfo(np.float32).tiny)).any()
+    else:
+        assert (space._norm_reach()[3] < np.finfo(np.float32).tiny).all()
+    ranked, scores = _reference(space, q)
+    for k in (1, 2, 7, len(x)):
+        np.testing.assert_array_equal(preselect_candidates(space, q, k).source_rows, ranked[:k])
+        assert nn_select(space, q, k, KernelConfig()).order == tuple(ranked[:k])
+
+
+def test_the_one_number_threshold_rounds_up_to_the_storage_dtype():
+    """kth − 2E is 1 + 2⁻²⁵ here, between the float32 scores 1 and
+    1 + 2⁻²³, and nearer 1. A float32 score is at least it exactly when it
+    is at least its round-up, so the row at 1 + 2⁻²³ survives and the row
+    at 1 goes, as in the per-row path, which works in float64. The cast
+    alone rounds to 1 and would keep that row too. Under NumPy 2, s + E
+    and kth − E in float32 would both round to 1.5 and keep it."""
+    above = float(np.nextafter(np.float32(1), np.float32(2)))
+    s = np.array([2.0, 1.0, above, 0.5, 2.0], dtype=np.float32)
+    E = (1 - 2.0 ** -25) / 2
+    assert float(np.float32(2.0 - 2 * E)) != 2.0 - 2 * E
+    keep = selectors._survivors(s, E, 2)
+    np.testing.assert_array_equal(keep, [0, 2, 4])
+    np.testing.assert_array_equal(keep, selectors._survivors(s, np.full(s.shape, E), 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), dtype=st.sampled_from([np.float32, np.float64]),
        d=st.integers(1, 12), K=st.integers(1, 150), frac=st.floats(0.0, 1.0),
@@ -186,6 +253,42 @@ def test_survivors_are_few_on_gaussian_rows(monkeypatch):
                         lambda rows, q: seen.append(len(rows)) or _rescore(rows, q))
     preselect_candidates(space, rng.normal(size=64), 50)
     assert 50 <= sum(seen) <= 60
+
+
+def test_survivors_are_few_at_serving_scale():
+    """The serving case: 100k float32 unit Gaussian rows of 128 values,
+    k = 200. The filter keeps 200–201 rows, and at most 210 pass, so a bound
+    a hundred times too loose (210–220 rows on these queries) fails here
+    rather than slowing every query."""
+    rng = np.random.default_rng(5)
+    space = _space(rng.standard_normal((100_000, 128), dtype=np.float32), True)
+    kept = []
+    survivors = selectors._survivors
+    with mock.patch.object(selectors, "_survivors",
+                           lambda *a: kept.append(len(r := survivors(*a))) or r):
+        for _ in range(3):
+            preselect_candidates(space, rng.normal(size=128), 200)
+    assert len(kept) == 3 and all(200 <= n <= 210 for n in kept)
+
+
+def test_the_filter_widens_only_the_survivors():
+    """On a normalized float32 set whose scan scores are finite, _ranked
+    allocates no K-sized float64 array: its peak is the float32 scan and
+    one float32 copy that the partition takes, 8 bytes a row. A float64
+    score array beside the scan would take it to 12."""
+    rng = np.random.default_rng(6)
+    K = 50_000
+    space = _space(rng.standard_normal((K, 16), dtype=np.float32), True)
+    q = rng.normal(size=16)
+    selectors._ranked(space, q, 10)  # the set's reciprocal divisors are made once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        selectors._ranked(space, q, 10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * K
 
 
 @pytest.mark.parametrize("normalized", [False, True])
