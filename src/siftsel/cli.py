@@ -12,6 +12,7 @@ files, bad parameters), 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -35,7 +36,6 @@ from .uncertainty import (
     convergence_bound_rhs,
     data_space_lambda_min,
     irreducible_uncertainty,
-    realized_info_gain,
     selected_gram_lambda_hat,
     submodularity_probe,
 )
@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "selecting; 0 disables (default: 200)")
     sel.add_argument("--alpha", type=float, default=None,
                      help="enable adaptive stopping with this alpha")
-    sel.add_argument("--n-max", type=int, default=None,
-                     help="hard cap for adaptive stopping, with --alpha (default: --n)")
     sel.add_argument("--output", default=None, metavar="PATH",
                      help="write JSON Lines here instead of stdout")
 
@@ -138,13 +136,10 @@ def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelCo
 
 
 def _cmd_select(args) -> int:
-    if args.n_max is not None and args.alpha is None:
-        raise InputError("--n-max caps adaptive stopping and needs --alpha")
     space, q = _load_pair(args)
     cfg = KernelConfig(lambda_prime=args.lambda_prime)
     policy = None if args.alpha is None else StoppingPolicy(
-        alpha=args.alpha,
-        n_max=args.n_select if args.n_max is None else args.n_max)
+        alpha=args.alpha, n_max=args.n_select)
     t0 = time.perf_counter()
     pool = _pool(space, q, args.preselect_k)
     result = _run_method(args.method, pool, q, args.n_select, cfg)
@@ -189,24 +184,22 @@ def _cmd_stats(args) -> int:
             reg_lambda=args.reg_lambda, noise_rho=args.noise_rho,
         )
         lam_min = data_space_lambda_min(space)
-        n_top = min(max(args.beta_n), space.rows)
-        full = sift_select(space, q, n_top, cfg)
-        table = []
-        for n in sorted(set(args.beta_n)):
-            n_eff = min(n, n_top)
-            sel = EmbeddingSet(data=space.data[list(full.order[:n_eff])])
-            gamma = realized_info_gain(sel, args.lambda_prime)
-            table.append({
-                "n": n,
-                "beta_classification": beta_classification(n, args.delta, params),
-                "beta_regression": beta_regression(
-                    n, args.delta, args.norm_bound, args.noise_rho, gamma),
-                "convergence_bound": convergence_bound_rhs(
-                    n, space.dim, args.lambda_prime, lam_min,
-                    selected_gram_lambda_hat(sel)),
-                "sigma_sq": full.sigma_trace[n_eff],
-            })
-        out["confidence"] = table
+        # sift may pick a row again, so sizes above the row count select too
+        full = sift_select(space, q, max(args.beta_n), cfg)
+        gains = [0.0]  # γ_n = ½ Σ_{i≤n} ln(pivot_i/λ′)
+        for den in full.pivot_trace:
+            gains.append(gains[-1] + 0.5 * math.log(den / args.lambda_prime))
+        out["confidence"] = [{
+            "n": n,
+            "beta_classification": beta_classification(n, args.delta, params),
+            "info_gain": gains[n],
+            "beta_regression": beta_regression(
+                n, args.delta, args.norm_bound, args.noise_rho, gains[n]),
+            "convergence_bound": convergence_bound_rhs(
+                n, space.dim, args.lambda_prime, lam_min,
+                selected_gram_lambda_hat(space.data[list(full.order[:n])])),
+            "sigma_sq": full.sigma_trace[n],
+        } for n in sorted(set(args.beta_n))]
     sys.stdout.write(strict_json(out, indent=2) + "\n")
     return 0
 

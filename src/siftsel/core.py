@@ -50,12 +50,11 @@ _ZERO_NORM_CUTOFF = 1e-12
 
 # Values per block when rows are read and their norms summed, and the size
 # of the one float64 buffer they are squared in (4 MB: 4096 rows at d = 128).
-# Blocks of 2^16 values sum 100k×128 norms faster (20 against 26 ms), but
-# glibc raises its dynamic mmap threshold only to the largest block freed.
-# After a 512 KB buffer, a serving query's float64 score arrays (0.8 MB at
-# 100k rows) came from fresh pages each time: 456 page faults, and about
-# 0.8 ms, a query. The scores are now float32 (0.4 MB), and after a 512 KB
-# buffer a query took no fault; past 131,072 rows they would pass 512 KB.
+# glibc raises its dynamic mmap threshold only to the largest block freed,
+# and a scan's float32 scores pass 512 KB beyond 131,072 rows: after a
+# smaller buffer they would come from fresh pages on every query. A figure
+# of 20 against 26 ms for 2^16-value blocks on 100k×128 norms did not
+# reproduce.
 _BLOCK_VALUES = 2 ** 19
 
 def _check_finite(data: np.ndarray, first_row: int = 0) -> None:

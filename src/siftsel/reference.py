@@ -4,17 +4,20 @@ These deliberately share no numerical code with the production paths: each
 step rebuilds the Gram matrix from raw dot products and solves the dense
 regularized system from scratch with plain numpy. Slow and obviously
 correct is the point — the acceptance suite checks the optimized selectors
-against these outputs.
+against these outputs. One exception: realized_info_gain, the oracle for
+the greedy kernel's pivot record, reads posterior_variance's QR factor
+(core._ridge_r), which the kernel does not use.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSet, KernelConfig
+from .core import EmbeddingSet, KernelConfig, _as_row_matrix, _ridge_r
 from .errors import InstanceTooLarge, InvalidParameter, check_param
 from .selectors import SelectionResult
 from .uncertainty import _PIVOT_TIE, _RANK_CUTOFF
@@ -59,6 +62,27 @@ def posterior_variance_feature_space(selected, q, cfg: KernelConfig) -> float:
     return lam * float(q @ np.linalg.solve(X.T @ X + lam * np.eye(q.shape[0]), q))
 
 
+def realized_info_gain(selected, lambda_prime: float) -> float:
+    """½·log det(I + K_X/λ′) for the actually selected rows.
+
+    This is the computable stand-in for the max-over-all-sets information
+    gain appearing in the regression width: a lower bound, and the quantity
+    a practitioner can actually evaluate. `selected` may be an EmbeddingSet
+    or any sequence of row vectors.
+
+    With R the QR factor of the ridge-augmented rows (core._ridge_r), the
+    gain is Σ ln|R_ii| − (r/2)·ln λ′ over its leading r = min(m, d)
+    diagonals: that block has RᵀR = K_X + λ′I_m, or XᵀX + λ′I_d when
+    m > d, whose determinant over λ′ᵈ is the same. No Gram is formed.
+    """
+    check_param("lambda_prime", lambda_prime, gt=0)
+    X = _as_row_matrix(selected)
+    if X.shape[0] == 0:
+        return 0.0
+    r = np.abs(np.diagonal(_ridge_r(X, np.zeros(X.shape[1]), lambda_prime))[:-1])
+    return float(np.log(r).sum()) - 0.5 * r.size * math.log(lambda_prime)
+
+
 def greedy_direct_oracle(
     candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig
 ) -> SelectionResult:
@@ -66,7 +90,9 @@ def greedy_direct_oracle(
 
     At every step, evaluates sigma²_{X ∪ {x}}(q) for every candidate x by
     rebuilding the full system, and picks the minimizer (ties by smallest
-    row index). Limited to small instances by design.
+    row index). Each step's pivot is the pick's own sigma² given the earlier
+    picks, by another fresh solve, plus λ′. Limited to small instances by
+    design.
     """
     if candidates.rows > 256 or n_select > 64:
         raise InstanceTooLarge(
@@ -78,6 +104,7 @@ def greedy_direct_oracle(
     picked: list[int] = []
     sigma_trace = [_direct_sigma_sq(rows, picked, q, lam)]
     objective_trace: list[float] = []
+    pivot_trace: list[float] = []
     for _ in range(n_select):
         best_idx = -1
         best_sigma = np.inf
@@ -86,6 +113,7 @@ def greedy_direct_oracle(
             if s < best_sigma:  # strict improvement only, so first index wins ties
                 best_sigma = s
                 best_idx = x
+        pivot_trace.append(_direct_sigma_sq(rows, picked, rows[best_idx], lam) + lam)
         picked.append(best_idx)
         objective_trace.append(sigma_trace[-1] - best_sigma)
         sigma_trace.append(best_sigma)
@@ -93,6 +121,7 @@ def greedy_direct_oracle(
         order=tuple(picked),
         objective_trace=tuple(objective_trace),
         sigma_trace=tuple(sigma_trace),
+        pivot_trace=tuple(pivot_trace),
         method="oracle",
         lambda_prime=lam,
     )

@@ -26,7 +26,7 @@ between equal rows goes to the smallest index by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,20 +84,24 @@ class SelectionResult:
     variance minimizers, the inner-product score for nearest neighbor, the
     conditional variance of the pick for uncertainty sampling. sigma_trace
     holds the query's conditional variance sigma²_0..sigma²_N and has one
-    more entry than order.
+    more entry than order. pivot_trace holds each step's k(p,p)+λ′, exactly
+    λ′ on a step that conditioned on nothing, so the first n picks' gain
+    ½ log det(I + K_n/λ′) is γ_n = ½ Σ_{i≤n} ln(pivot_trace[i−1]/λ′).
     """
 
     order: tuple[int, ...]
     objective_trace: tuple[float, ...]
     sigma_trace: tuple[float, ...]
+    pivot_trace: tuple[float, ...]
     method: str
     lambda_prime: float
 
     def __post_init__(self):
         if len(self.sigma_trace) != len(self.order) + 1:
             raise ValueError("sigma_trace must have exactly len(order)+1 entries")
-        if len(self.objective_trace) != len(self.order):
-            raise ValueError("objective_trace must have exactly len(order) entries")
+        for name in ("objective_trace", "pivot_trace"):
+            if len(getattr(self, name)) != len(self.order):
+                raise ValueError(f"{name} must have exactly len(order) entries")
 
 
 def _validate_inputs(candidates: EmbeddingSet, q, n_select: int) -> np.ndarray:
@@ -302,8 +306,9 @@ def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
 
 
 def _greedy_kernel(
-    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray
-) -> tuple[list[int], list[float], list[float]]:
+    X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray,
+    method: str
+) -> SelectionResult:
     """The exact greedy conditioning loop behind every selector.
 
     The conditional kernel among candidates is z_iᵀ A z_j, for the rows z_i
@@ -334,7 +339,7 @@ def _greedy_kernel(
     pick(step, kq, diag) returns the next row of X and the objective value
     recorded for it, given the current conditional k(q,·) and k(·,·).
     diag0 is the starting diagonal einsum("ij,ij->i", X, X); the kernel
-    works on a copy. Returns the order, objective trace and sigma trace.
+    works on a copy. Returns the selection, its order in rows of X.
 
     A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times its own
     starting diagonal is round-off, not information, and so is its k(q,p).
@@ -342,7 +347,8 @@ def _greedy_kernel(
     on to another row, with the objective their score gives it, so sift's
     σ rule holds. When pick returns the same row (nn's order is fixed, or
     every score is 0), the step is recorded with that objective and
-    changes nothing, so σ² stays where it was.
+    changes nothing, so σ² stays where it was and the pivot, from the
+    zeroed diagonal, is exactly λ′.
 
     A diagonal or σ² below zero by more than round-off raises
     NumericalFailure; round-off is NEGATIVE_VARIANCE_TOL times the largest
@@ -367,6 +373,7 @@ def _greedy_kernel(
     sigma_trace = [sigma]
     order: list[int] = []
     objective_trace: list[float] = []
+    pivot_trace: list[float] = []
     for step in range(n_select):
         best, objective = pick(step, kq, diag)
         den = float(diag[best]) + lam
@@ -378,6 +385,7 @@ def _greedy_kernel(
             skip = den < _DEN_FLOOR * diag0[best]
         order.append(best)
         objective_trace.append(objective)
+        pivot_trace.append(den)
         if skip:
             # The ring's slot for this step stays stale, and no repeat can
             # read it: a skip needs λ′ < _DEN_FLOOR·k0(p,p) ≤ _DEN_FLOOR·scale,
@@ -429,7 +437,8 @@ def _greedy_kernel(
             m = 0
         sigma = _clamp_variance(sigma - kq_best * kq_best / den, "sigma trace", sigma0)
         sigma_trace.append(sigma)
-    return order, objective_trace, sigma_trace
+    return SelectionResult(tuple(order), tuple(objective_trace), tuple(sigma_trace),
+                           tuple(pivot_trace), method, lam)
 
 
 def _first_rows(X: np.ndarray) -> np.ndarray | None:
@@ -492,15 +501,10 @@ def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConf
         best = int(scores.argmax())
         return best, float(scores[best])
 
-    order, objective_trace, sigma_trace = _greedy_kernel(
-        X, qv, n_select, cfg.lambda_prime, pick, sq)
-    return SelectionResult(
-        order=tuple(order if keep is None else keep[order].tolist()),
-        objective_trace=tuple(objective_trace),
-        sigma_trace=tuple(sigma_trace),
-        method=method,
-        lambda_prime=cfg.lambda_prime,
-    )
+    result = _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick, sq, method)
+    if keep is None:
+        return result
+    return replace(result, order=tuple(keep[list(result.order)].tolist()))
 
 
 def sift_select(
@@ -586,15 +590,9 @@ def nn_select(
     def pick(step, kq, diag):
         return slot[order[step]], score[order[step]]
 
-    _, objective_trace, sigma_trace = _greedy_kernel(
-        X, qv, n_select, cfg.lambda_prime, pick, np.einsum("ij,ij->i", X, X))
-    return SelectionResult(
-        order=tuple(order),
-        objective_trace=tuple(objective_trace),
-        sigma_trace=tuple(sigma_trace),
-        method="nn-f" if failure_mode else "nn",
-        lambda_prime=cfg.lambda_prime,
-    )
+    result = _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick,
+                            np.einsum("ij,ij->i", X, X), "nn-f" if failure_mode else "nn")
+    return replace(result, order=tuple(order))
 
 
 def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:

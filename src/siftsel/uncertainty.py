@@ -23,7 +23,6 @@ from .core import (
     EmbeddingSet,
     KernelConfig,
     _as_row_matrix,
-    _ridge_r,
     as_query,
     posterior_variance,
 )
@@ -288,12 +287,13 @@ def data_space_lambda_min(space: EmbeddingSet) -> float:
 def selected_gram_lambda_hat(selected) -> float:
     """Largest eigenvalue of the Gram matrix of the selected rows (0 if empty).
 
-    `selected` may be an EmbeddingSet or any sequence of row vectors.
+    `selected` may be an EmbeddingSet or any sequence of row vectors. More
+    rows than dimensions, as repeats allow, read XᵀX, whose largest is equal.
     """
     X = _as_row_matrix(selected)
     if X.shape[0] == 0:
         return 0.0
-    eigs = np.linalg.eigvalsh(X @ X.T)
+    eigs = np.linalg.eigvalsh(X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X)
     return max(float(eigs[-1]), 0.0)
 
 
@@ -343,8 +343,8 @@ def beta_regression(n: int, delta: float, B: float, rho: float, gamma_n: float) 
 
         B + ρ·√(2·(γ_n + 1 + log(1/δ)))
 
-    γ_n is the information gain of the observations; pass the realized
-    value from realized_info_gain for an evaluable width.
+    γ_n is the information gain of the observations; pass a selection's
+    realized value, read from its pivot_trace, for an evaluable width.
     """
     check_param("delta", delta, gt=0, lt=1)
     check_param("n", n, ge=1, integer=True)
@@ -352,27 +352,6 @@ def beta_regression(n: int, delta: float, B: float, rho: float, gamma_n: float) 
     check_param("rho", rho, gt=0)
     check_param("B", B, ge=0)
     return B + rho * math.sqrt(2.0 * (gamma_n + 1.0 + math.log(1.0 / delta)))
-
-
-def realized_info_gain(selected, lambda_prime: float) -> float:
-    """½·log det(I + K_X/λ′) for the actually selected rows.
-
-    This is the computable stand-in for the max-over-all-sets information
-    gain appearing in the regression width: a lower bound, and the quantity
-    a practitioner can actually evaluate. `selected` may be an EmbeddingSet
-    or any sequence of row vectors.
-
-    With R the QR factor of the ridge-augmented rows (core._ridge_r), the
-    gain is Σ ln|R_ii| − (r/2)·ln λ′ over its leading r = min(m, d)
-    diagonals: that block has RᵀR = K_X + λ′I_m, or XᵀX + λ′I_d when
-    m > d, whose determinant over λ′ᵈ is the same. No Gram is formed.
-    """
-    check_param("lambda_prime", lambda_prime, gt=0)
-    X = _as_row_matrix(selected)
-    if X.shape[0] == 0:
-        return 0.0
-    r = np.abs(np.diagonal(_ridge_r(X, np.zeros(X.shape[1]), lambda_prime))[:-1])
-    return float(np.log(r).sum()) - 0.5 * r.size * math.log(lambda_prime)
 
 
 def marginal_info_gain(x, X, q, cfg: KernelConfig) -> InfoGain:
@@ -418,9 +397,10 @@ def adaptive_should_stop(sigma_n: float, n: int, policy: StoppingPolicy) -> bool
 def apply_adaptive_stopping(result: SelectionResult, policy: StoppingPolicy) -> SelectionResult:
     """Truncate a selection at the adaptive stopping point.
 
-    Greedy selections are prefix-stable (step n never depends on how many
-    more steps follow), so truncating a full run is exactly equivalent to
-    stopping live. The rule is evaluated at each n with
+    Greedy selections are prefix-stable: a full run's first n steps are
+    byte-equal to an n-step run, so truncating is stopping live; distinct nn,
+    which conditions on its top n rows alone, keeps the order but may round
+    σ² differently. The rule is evaluated at each n with
     σ_n = sqrt(sigma_trace[n]); the first stopping n becomes the final
     length, keeping the n-th pick.
     """
@@ -431,6 +411,7 @@ def apply_adaptive_stopping(result: SelectionResult, policy: StoppingPolicy) -> 
                 order=result.order[:n],
                 objective_trace=result.objective_trace[:n],
                 sigma_trace=result.sigma_trace[: n + 1],
+                pivot_trace=result.pivot_trace[:n],
             )
     return result
 

@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 
 from conftest import W_DATA
-from siftsel import EmbeddingSet, NumericalFailure, SelectionResult, write_embeddings
+from siftsel import (
+    EmbeddingSet,
+    KernelConfig,
+    NumericalFailure,
+    SelectionResult,
+    beta_regression,
+    normalize_rows,
+    read_embeddings,
+    realized_info_gain,
+    sift_select,
+    write_embeddings,
+)
 import siftsel.cli
 from siftsel.cli import main
 
@@ -238,8 +249,8 @@ class TestExitCodes:
 
         def nan_result(method, pool, q, n_select, cfg):
             return SelectionResult(order=(0,), objective_trace=(0.5,),
-                                   sigma_trace=(1.0, float("nan")), method=method,
-                                   lambda_prime=cfg.lambda_prime)
+                                   sigma_trace=(1.0, float("nan")), pivot_trace=(1.01,),
+                                   method=method, lambda_prime=cfg.lambda_prime)
 
         monkeypatch.setattr("siftsel.cli._run_method", nan_result)
         assert main(["select", emb, qry, "--n", "1"]) == 3
@@ -256,11 +267,13 @@ class TestExitCodes:
         *(["select", "{emb}", "{qry}", *extra] for extra in (
             ["--lambda", "0"], ["--lambda", "nan"], ["--lambda", "inf"],
             ["--lambda", "-1"], ["--alpha", "nan"], ["--preselect-k", "-5"],
-            ["--n-max", "0", "--alpha", "1"], ["--n", "100000000000000"],
+            ["--n", "0", "--alpha", "1"], ["--n", "100000000000000"],
         )),
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--noise-rho", "nan"],
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--norm-bound", "inf"],
         ["stats", "{emb}", "{qry}", "--seed", "-1"],
+        ["stats", "{emb}", "{qry}", "--beta-n", "0", "3"],
+        ["stats", "{emb}", "{qry}", "--beta-n", "100001"],
         ["select", "{zero_dim}", "{zero_dim}", "--no-normalize"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_exits_2_with_one_line(self, wfiles, tmp_path, capsys, argv):
@@ -296,15 +309,6 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("siftsel: ")
         assert str(bad) in lines[0] and f"offset {offset}" in lines[0]
-
-    def test_n_max_without_alpha_exits_2(self, wfiles, capsys):
-        """--n-max caps adaptive stopping; without --alpha there is none to
-        cap, and all --n rows came back."""
-        emb, qry = wfiles
-        assert main(["select", emb, qry, "--n-max", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--n-max" in captured.err and "--alpha" in captured.err
 
     def test_beta_n_without_values_is_an_argparse_error(self, wfiles, capsys):
         """An empty --beta-n printed no confidence table and exited 0."""
@@ -362,6 +366,28 @@ class TestStats:
         for row in table:
             assert row["beta_regression"] > 0
             assert row["convergence_bound"] >= 0
+
+    def test_sizes_above_the_row_count_select_that_many(self, wfiles, capsys):
+        """sift may pick a row again, so 4 and 9 picks from 3 rows are
+        selections of their own: σ² falls strictly, and it, γ_n and
+        β_regression were those of n = 3 on every row above it. info_gain
+        is the γ_n each row's β_regression takes, ½ log det(I + K_n/λ′) of
+        the first n picks."""
+        emb, qry = wfiles
+        assert main(["stats", emb, qry, "--beta-n", "9", "3", "4"]) == 0
+        table = json.loads(capsys.readouterr().out)["confidence"]
+        assert [row["n"] for row in table] == [3, 4, 9]
+        space = normalize_rows(read_embeddings(emb))
+        q, lam = np.array([1.0, 0.0]), 0.01
+        full = sift_select(space, q, 9, KernelConfig(lambda_prime=lam))
+        sigmas = [row["sigma_sq"] for row in table]
+        assert sigmas == [full.sigma_trace[n] for n in (3, 4, 9)]
+        assert sigmas[0] > sigmas[1] > sigmas[2]
+        for row in table:
+            gain = realized_info_gain(space.data[list(full.order[:row["n"]])], lam)
+            assert row["info_gain"] == pytest.approx(gain, rel=1e-12)
+            assert row["beta_regression"] == beta_regression(
+                row["n"], 0.05, 1.0, 1.0, row["info_gain"])
 
     def test_seeded_probe_is_reproducible(self, wfiles, capsys):
         emb, qry = wfiles

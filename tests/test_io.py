@@ -1072,8 +1072,8 @@ class TestSelectionSerialization:
 
     def test_non_finite_value_is_a_numerical_failure(self, tmp_path):
         r = SelectionResult(order=(0,), objective_trace=(float("nan"),),
-                            sigma_trace=(1.0, float("nan")), method="sift",
-                            lambda_prime=0.01)
+                            sigma_trace=(1.0, float("nan")), pivot_trace=(1.01,),
+                            method="sift", lambda_prime=0.01)
         buf = io.StringIO()
         with pytest.raises(NumericalFailure):
             write_selection(r, None, buf)
@@ -1095,7 +1095,8 @@ class TestSelectionSerialization:
         n = len(values) // 2
         order = tuple(data.draw(st.integers(0, len(ids) - 1)) for _ in range(n))
         r = SelectionResult(order=order, objective_trace=tuple(values[:n]),
-                            sigma_trace=tuple(values[n:2 * n + 1]), method="sift",
+                            sigma_trace=tuple(values[n:2 * n + 1]),
+                            pivot_trace=tuple(values[:n]), method="sift",
                             lambda_prime=values[-1])
         buf = io.StringIO()
         write_selection(r, ids, buf)

@@ -133,6 +133,18 @@ def near_duplicate_pool(seed):
     return EmbeddingSet(data=X, normalized=True), unit_vector(rng, d)
 
 
+def wide_pool(seed):
+    """Fewer unit rows than dimensions, in tight groups around a few random
+    rows, a fifth of them exact copies of the first; and a unit query."""
+    rng = np.random.default_rng([11, seed])
+    d = int(rng.integers(40, 120))
+    K = int(rng.integers(d // 3, d))
+    base = rng.normal(size=(int(rng.integers(4, K // 3)), d))
+    X = base[rng.integers(0, len(base), size=K)] + rng.normal(size=(K, d)) * 1e-3
+    X[rng.random(K) < 0.2] = base[0]
+    return normalize_rows(EmbeddingSet(data=X)), unit_vector(rng, d)
+
+
 def with_and_without_ring(monkeypatch, space, q, n, cfg, ring_from):
     """sift_select with the column ring on for GEMVs of at least `ring_from`
     multiply-adds, and with it off."""
@@ -259,6 +271,7 @@ class TestGreedyKernel:
             assert fast.order == full.order
             assert fast.objective_trace == full.objective_trace
             assert fast.sigma_trace == full.sigma_trace
+            assert fast.pivot_trace == full.pivot_trace
 
     @pytest.mark.parametrize("ring", [False, True])
     @pytest.mark.parametrize("lam", [1e-12, 0.01, 1.0])
@@ -277,15 +290,8 @@ class TestGreedyKernel:
         if ring:
             monkeypatch.setattr(selectors, "_RING_MIN_WORK", 0)
         for seed in range(8):
-            rng = np.random.default_rng([11, seed])
-            d = int(rng.integers(40, 120))
-            K = int(rng.integers(d // 3, d))
-            base = rng.normal(size=(int(rng.integers(4, K // 3)), d))
-            X = base[rng.integers(0, len(base), size=K)] + rng.normal(size=(K, d)) * 1e-3
-            X[rng.random(K) < 0.2] = base[0]
-            space = normalize_rows(EmbeddingSet(data=X))
-            q = unit_vector(rng, d)
-            picks = K if select is nn_select else n  # nn picks distinct rows
+            space, q = wide_pool(seed)
+            picks = space.rows if select is nn_select else n  # nn picks distinct rows
             assert selectors._candidate_factor(space.data)[0] is None
             fast = select(space, q, picks, cfg)
             with monkeypatch.context() as m:
@@ -295,6 +301,61 @@ class TestGreedyKernel:
             assert fast.order == full.order
             assert fast.objective_trace == full.objective_trace
             assert fast.sigma_trace == full.sigma_trace
+            assert fast.pivot_trace == full.pivot_trace
+
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("lam", [1e-6, 0.01])
+    @pytest.mark.parametrize("pool", [near_duplicate_pool, wide_pool])
+    def test_selections_are_prefix_stable(self, monkeypatch, pool, lam, ring):
+        """apply_adaptive_stopping and stats read an n-pick selection off a
+        longer run. On duplicate-heavy pools with K ≥ d and K < d, with kept
+        columns forced on and left off, sift, us and nn-f return the first n
+        steps of the 130-pick run exactly, pivots included. Distinct nn
+        conditions on its top n rows alone: the same order, and σ² within
+        1e-10 relatively."""
+        cfg, run = KernelConfig(lambda_prime=lam), TestSelectionResultInvariants._run
+        if ring:
+            monkeypatch.setattr(selectors, "_RING_MIN_WORK", 0)
+        for seed in range(4):
+            space, q = pool(seed)
+            for method in ("sift", "us", "nn-f", "nn"):
+                full = run(method, space, q, min(130, space.rows) if method == "nn" else 130, cfg)
+                for n in (1, 3, 7, 20, 64, 65):
+                    if n > len(full.order):
+                        continue
+                    r = run(method, space, q, n, cfg)
+                    assert r.order == full.order[:n], (method, seed, n)
+                    if method == "nn":
+                        np.testing.assert_allclose(r.sigma_trace, full.sigma_trace[:n + 1],
+                                                   rtol=1e-10, atol=0)
+                        continue
+                    assert r.objective_trace == full.objective_trace[:n], (method, seed, n)
+                    assert r.sigma_trace == full.sigma_trace[:n + 1], (method, seed, n)
+                    assert r.pivot_trace == full.pivot_trace[:n], (method, seed, n)
+
+    @pytest.mark.parametrize("method", ["sift", "nn-f", "us"])
+    def test_a_step_that_conditions_on_nothing_records_lambda(self, monkeypatch, method):
+        """Times 1e8, Gaussian rows leave round-off once the picks span
+        them, and the kernel skips such picks. A skipped step's pivot is
+        exactly λ′, so it adds ln 1 = 0 to γ_n: every step that conditions
+        (calls _project once) has a pivot of at least _DEN_FLOOR times a
+        starting diagonal, far above λ′, and the steps that do not are as
+        many as the pivots equal to λ′."""
+        calls = []
+        project = selectors._project
+        monkeypatch.setattr(selectors, "_project", lambda *a: calls.append(1) or project(*a))
+        cfg, n, skipped = KernelConfig(), 40, 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(300, 16)) * 1e8
+            assert cfg.lambda_prime < selectors._DEN_FLOOR * (X * X).sum(axis=1).min()
+            calls.clear()
+            r = TestSelectionResultInvariants._run(method, EmbeddingSet(data=X),
+                                                    rng.normal(size=16), n, cfg)
+            at_lam = sum(p == cfg.lambda_prime for p in r.pivot_trace)
+            assert at_lam == n - len(calls), seed
+            skipped += at_lam
+        assert skipped >= 100
 
     def test_the_starting_diagonal_is_kept_per_set(self):
         """The state the kernel starts from is computed once per set: the
@@ -645,10 +706,12 @@ class TestSelectionResultInvariants:
                       for i in range(n + 1)]
             np.testing.assert_allclose(r.sigma_trace, direct, atol=1e-8)
 
-    def test_result_length_validation(self):
+    @pytest.mark.parametrize("sigma_trace, pivot_trace", [
+        ((1.0,), (2.0,)), ((1.0, 0.5), ()), ((1.0, 0.5), (2.0, 2.0))])
+    def test_result_length_validation(self, sigma_trace, pivot_trace):
         with pytest.raises(ValueError):
-            SelectionResult(order=(0,), objective_trace=(0.5,),
-                            sigma_trace=(1.0,), method="sift", lambda_prime=1.0)
+            SelectionResult(order=(0,), objective_trace=(0.5,), sigma_trace=sigma_trace,
+                            pivot_trace=pivot_trace, method="sift", lambda_prime=1.0)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_query_scale_invariance(self, method):
