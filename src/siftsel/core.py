@@ -121,8 +121,9 @@ class EmbeddingSet:
     that irreducible_uncertainty finds is kept in _span the same way, and
     so is the state the greedy kernel starts from, in _sq: the distinct
     rows of data, their squared norms and their indices, which selectors
-    computes. A pickled set carries its rows and divisors, none of the
-    values computed from them, the read-time norms included.
+    computes (preselect_candidates fills all but the norms of a pool it
+    finds distinct). A pickled set carries its rows and divisors, none of
+    the values computed from them, the read-time norms included.
     """
 
     __slots__ = ("ids", "normalized", "source_rows", "_rows", "_div", "_norms", "_data",

@@ -41,11 +41,13 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import struct
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -459,25 +461,27 @@ def write_selection(result: SelectionResult, ids, out, source_rows=None) -> None
     set the selection ran on; source_rows maps candidate rows back to
     original rows when the candidates were a preselected subset. A
     non-finite value raises NumericalFailure before anything is written.
+    Row lines are formatted directly in strict_json's bytes (%d, float
+    repr, encode_basestring_ascii); the summary goes through strict_json.
     """
-    records = []
+    n = len(result.order)
+    values = [float(v) for v in (*result.objective_trace, *result.sigma_trace)]
+    if not all(map(math.isfinite, values)):
+        strict_json(values)  # raises NumericalFailure
+    lines = []
     for i, row in enumerate(result.order):
         orig = int(source_rows[row]) if source_rows is not None else int(row)
-        records.append({
-            "rank": i + 1,
-            "row": orig,
-            "id": str(ids[row]) if ids is not None else str(orig),
-            "objective": float(result.objective_trace[i]),
-            "sigma_sq": float(result.sigma_trace[i + 1]),
-        })
-    records.append({
+        name = str(ids[row]) if ids is not None else str(orig)
+        lines.append('{"rank": %d, "row": %d, "id": %s, "objective": %r, "sigma_sq": %r}\n'
+                     % (i + 1, orig, encode_basestring_ascii(name), values[i], values[n + 1 + i]))
+    lines.append(strict_json({
         "method": result.method,
         "lambda_prime": float(result.lambda_prime),
-        "n": len(result.order),
-        "sigma0_sq": float(result.sigma_trace[0]),
-        "sigma_final_sq": float(result.sigma_trace[-1]),
-    })
-    text = "".join(strict_json(r) + "\n" for r in records)
+        "n": n,
+        "sigma0_sq": values[n],
+        "sigma_final_sq": values[-1],
+    }) + "\n")
+    text = "".join(lines)
     if hasattr(out, "write"):
         out.write(text)
     else:

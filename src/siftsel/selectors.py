@@ -25,7 +25,9 @@ between equal rows goes to the smallest index by construction.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,7 +168,8 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
        only rows below that are dropped. Rows with a non-finite ŝ are
        always kept. When E is one number (every set with divisors, so every
        normalized set) and every ŝ is finite, the k-th largest ŝ comes from
-       one partition of ŝ, and only the survivors are widened to float64.
+       partitions in the storage dtype, and only the survivors are widened
+       to float64.
     3. Rebuild the kept rows in float64, a block at a time.
     4. Rescore them with _rescore and take _top_k, which keeps ties in
        index order, as the full stable sort does. When the kept rows fit
@@ -191,10 +194,7 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     """
     rows, div = space._rows, space._div
     d = space.dim
-    fin = np.finfo(rows.dtype)
-    u, tiny = float(fin.eps) / 2, float(fin.smallest_subnormal)
-    g, gd = _gamma(d + 2, _U64), _gamma(d, u)
-    grow = (1 + 2 * g) ** 2
+    tiny, g, gd, grow = _bound_factors(rows.dtype, d)
     under, reach, inv_div, rdiv, p = space._norm_reach()
     with np.errstate(over="ignore", invalid="ignore"):
         qs = qv.astype(rows.dtype)
@@ -207,7 +207,7 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
         c1 = grow * (gd * qsn + dq + g * qn + (p + 2 * _U64) * (1 + gd) * qsn)
         E = c1 * reach if div is not None else space._row_norms() * c1 + c1 * under
         E = E + grow * ((2 * d * inv_div * (1 + p) + 1) * tiny + 4 * d * _TINY64 * (1 + qn))
-        if not reach * qn * grow < np.finfo(np.float64).max / 4:
+        if not reach * qn * grow < sys.float_info.max / 4:
             keep = np.arange(space.rows)
         else:
             keep = _survivors(s, E, k)
@@ -221,6 +221,16 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     return keep[top], scores[top], picked
 
 
+@functools.lru_cache(maxsize=8)
+def _bound_factors(dtype: np.dtype, d: int) -> tuple[float, float, float, float]:
+    """(tiny, g, gd, grow) of _ranked's bound for rows of this dtype and
+    dimension: the dtype's smallest subnormal, γ_{d+2} in float64, γ_d in
+    the dtype's unit roundoff, and (1 + 2g)²."""
+    fin = np.finfo(dtype)
+    g = _gamma(d + 2, _U64)
+    return float(fin.smallest_subnormal), g, _gamma(d, float(fin.eps) / 2), (1 + 2 * g) ** 2
+
+
 def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
     """The indices i, ascending, with s_i + E_i not below the k-th largest
     s − E, and those of every non-finite s_i, for scores s in their storage
@@ -228,19 +238,19 @@ def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
 
     E is a K-vector, or one number for every row. In the second case, when
     the sum of s is finite (so is every s_i), the test is s_i ≥ kth − 2E
-    for the k-th largest s, found by one partition of s. kth − 2E is
-    evaluated in float64 and rounded up to s's dtype: a value of that
-    dtype is at least a float64 number exactly when it is at least the
-    number's round-up, so the one compare runs in s's dtype and keeps what
-    a float64 compare keeps. The per-row path works in float64.
+    for the k-th largest s (_cut). With at least 16k scores, the k-th
+    largest of every 8th score, L, is at most kth, so the rows with
+    s_i ≥ L − 2E hold the top k and every survivor, and kth and the test
+    are taken over those rows alone: one partition of K/8 scores and one
+    of the few near the top, where the K-score partition took most of the
+    filter. The per-row path works in float64.
     """
     if np.ndim(E) == 0 and math.isfinite(np.add.reduce(s)):
-        kth = np.partition(s, s.size - k)[s.size - k]
-        lo = float(kth) - 2 * E
-        cut = s.dtype.type(lo)
-        if float(cut) < lo:
-            cut = np.nextafter(cut, s.dtype.type(np.inf))
-        return np.flatnonzero(s >= cut)
+        if s.size < 16 * k:
+            return np.flatnonzero(s >= _cut(s, k, E))
+        near = np.flatnonzero(s >= _cut(s[::8], k, E))
+        top = s[near]
+        return near[top >= _cut(top, k, E)]
     s = np.asarray(s, dtype=np.float64)
     lo = s - E
     bad = ~np.isfinite(s)
@@ -248,6 +258,17 @@ def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
         lo[bad] = -np.inf
     kth = -np.partition(-lo, k - 1)[k - 1]
     return np.flatnonzero(~(s + E < kth) | bad)
+
+
+def _cut(s: np.ndarray, k: int, E: float):
+    """kth − 2E for the k-th largest of s, in float64 rounded up to s's
+    dtype, which s_i is at least exactly when it is at least kth − 2E in
+    float64. Both roundings are monotone, so the cut rises with kth."""
+    lo = float(np.partition(s, s.size - k)[s.size - k]) - 2 * E
+    cut = s.dtype.type(lo)
+    if float(cut) < lo:
+        cut = np.nextafter(cut, s.dtype.type(np.inf))
+    return cut
 
 
 def _candidate_factor(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -375,14 +396,14 @@ def _greedy_kernel(
     objective_trace: list[float] = []
     pivot_trace: list[float] = []
     for step in range(n_select):
-        best, objective = pick(step, kq, diag)
-        den = float(diag[best]) + lam
-        skip = den < _DEN_FLOOR * diag0[best]
-        while skip and (kq[best] or diag[best]):
-            kq[best] = diag[best] = 0.0
+        while True:
             best, objective = pick(step, kq, diag)
-            den = float(diag[best]) + lam
-            skip = den < _DEN_FLOOR * diag0[best]
+            kq_best, diag_best = kq.item(best), diag.item(best)
+            den = diag_best + lam
+            skip = den < _DEN_FLOOR * diag0.item(best)
+            if not (skip and (kq_best or diag_best)):
+                break
+            kq[best] = diag[best] = 0.0
         order.append(best)
         objective_trace.append(objective)
         pivot_trace.append(den)
@@ -394,7 +415,6 @@ def _greedy_kernel(
             sigma_trace.append(sigma)
             continue
         root = math.sqrt(den)
-        kq_best = float(kq[best])
         w = _project(Z, best, A, W[:m]) / root
         if R:
             col = cols[step % R]
@@ -435,7 +455,9 @@ def _greedy_kernel(
         if m == _FOLD_EVERY:
             A = (np.eye(r) if A is None else A) - W.T @ W
             m = 0
-        sigma = _clamp_variance(sigma - kq_best * kq_best / den, "sigma trace", sigma0)
+        sigma -= kq_best * kq_best / den
+        if sigma < 0.0:
+            sigma = _clamp_variance(sigma, "sigma trace", sigma0)
         sigma_trace.append(sigma)
     return SelectionResult(tuple(order), tuple(objective_trace), tuple(sigma_trace),
                            tuple(pivot_trace), method, lam)
@@ -476,17 +498,20 @@ def _first_rows(X: np.ndarray) -> np.ndarray | None:
 def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig,
                      method: str, score) -> SelectionResult:
     """The greedy kernel over the set's distinct rows, each step picking the
-    first largest of score(kq, diag, buf), with buf a 2×K scratch array,
+    first largest of score(kq, diag, buf), with buf two scratch K-vectors,
     and each pick named by the first index of its row in the set.
 
     The kernel's start state depends on the rows alone, so it is computed
     on a set's first selection and kept in its _sq slot, read-only: the
     distinct rows, their squared norms einsum("ij,ij->i", rows, rows), and
     the index in data of each (_first_rows), None when that is every row
-    and the rows are data itself."""
+    and the rows are data itself. A pool that preselect_candidates has
+    found distinct arrives with (data, None, None), and only the squared
+    norms are computed."""
     qv = _validate_inputs(candidates, q, n_select)
-    if candidates._sq is None:
-        X, keep = candidates.data, _first_rows(candidates.data)
+    state = candidates._sq
+    if state is None or state[1] is None:
+        X, keep = candidates.data, None if state else _first_rows(candidates.data)
         if keep is not None:
             X = X[keep]
             X.flags.writeable = False
@@ -494,12 +519,12 @@ def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConf
         sq.flags.writeable = False
         object.__setattr__(candidates, "_sq", (X, sq, keep))
     X, sq, keep = candidates._sq
-    buf = np.empty((2, X.shape[0]))
+    buf = tuple(np.empty((2, X.shape[0])))  # two views, made once
 
     def pick(step, kq, diag):
         scores = score(kq, diag, buf)
         best = int(scores.argmax())
-        return best, float(scores[best])
+        return best, scores.item(best)
 
     result = _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick, sq, method)
     if keep is None:
@@ -603,6 +628,9 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
     downstream reports can name original rows. Deterministic under ties
     (smallest index first). Past the one pass that scores the rows, the
     work is on the k_pre kept rows alone.
+    Equal rows rescore equal and _ranked returns them adjacent, so kept
+    scores that strictly fall mean distinct rows: the pool's _sq is then
+    (data, None, None), and the selectors skip _first_rows on it.
     """
     qv = as_query(q, space.dim)
     check_param("k_pre", k_pre, ge=1, integer=True)
@@ -610,12 +638,15 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         raise NotEnoughCandidates(
             f"preselection of {k_pre} rows from a space of {space.rows}"
         )
-    top, _, rows = _ranked(space, qv, k_pre)
+    top, scores, rows = _ranked(space, qv, k_pre)
     keep = top.tolist()
     prior = space.source_rows
-    return EmbeddingSet._certified(
+    pool = EmbeddingSet._certified(
         rows,
         ids=None if space.ids is None else tuple(space.ids[i] for i in keep),
         normalized=space.normalized,
         source_rows=tuple(keep) if prior is None else tuple(prior[i] for i in keep),
     )
+    if (scores[1:] < scores[:-1]).all():
+        object.__setattr__(pool, "_sq", (pool.data, None, None))
+    return pool

@@ -481,3 +481,23 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
         "print(*codes)\n"
     )
     assert _fresh_python(code) == ["0"] * len(runs) + ["1", "1", "blocked"]
+
+
+LAYER_NAMES = ("read_embeddings", "normalize_rows", "preselect_candidates", "sift_select",
+               "irreducible_uncertainty", "write_selection")
+
+
+def test_select_calls_each_layer_through_a_module_binding(wfiles, capsys, monkeypatch):
+    """perfbench's traced CLI runs time each layer by rebinding these names
+    in siftsel.cli, so each must be a module-level binding of the package's
+    function that `select` calls through, not one bound inside a function
+    or imported under another name."""
+    called = []
+    for name in LAYER_NAMES:
+        fn = vars(siftsel.cli)[name]
+        assert fn is getattr(siftsel, name), name
+        monkeypatch.setattr(siftsel.cli, name,
+                            lambda *a, _fn=fn, _name=name, **k: called.append(_name) or _fn(*a, **k))
+    emb, qry = wfiles
+    run_select_lines(capsys, ["select", emb, qry, "--preselect-k", "2", "--n", "2"])
+    assert set(called) == set(LAYER_NAMES)

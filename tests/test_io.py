@@ -43,6 +43,7 @@ from siftsel import (
     write_embeddings,
     write_selection,
 )
+from siftsel.io import strict_json
 
 MAGIC = b"SIFTEMB1"
 
@@ -1070,9 +1071,18 @@ class TestSelectionSerialization:
         write_selection(r, wspace.ids, buf)
         assert len(buf.getvalue().splitlines()) == 2
 
-    def test_non_finite_value_is_a_numerical_failure(self, tmp_path):
-        r = SelectionResult(order=(0,), objective_trace=(float("nan"),),
-                            sigma_trace=(1.0, float("nan")), pivot_trace=(1.01,),
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["objective", "sigma", "sigma0", "sigma_final"])
+    def test_non_finite_value_is_a_numerical_failure(self, tmp_path, bad, where):
+        """NaN or ±inf anywhere in a row or the summary raises before
+        anything is written, and no file is created for a path."""
+        objective, sigma = [0.5, 0.25, 0.125], [1.0, 0.5, 0.25, 0.125]
+        if where == "objective":
+            objective[1] = bad
+        else:
+            sigma[{"sigma": 2, "sigma0": 0, "sigma_final": -1}[where]] = bad
+        r = SelectionResult(order=(0, 1, 0), objective_trace=tuple(objective),
+                            sigma_trace=tuple(sigma), pivot_trace=(1.01,) * 3,
                             method="sift", lambda_prime=0.01)
         buf = io.StringIO()
         with pytest.raises(NumericalFailure):
@@ -1082,16 +1092,21 @@ class TestSelectionSerialization:
             write_selection(r, None, tmp_path / "sel.jsonl")
         assert not (tmp_path / "sel.jsonl").exists()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(ids=st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
                         min_size=1, max_size=6),
-           values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=13,
-                           max_size=13),
-           data=st.data())
-    def test_one_encoder_writes_what_json_dumps_writes(self, ids, values, data):
+           values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308])),
+                           min_size=13, max_size=13),
+           with_ids=st.booleans(), with_source=st.booleans(), data=st.data())
+    def test_row_lines_are_the_bytes_of_strict_json(self, ids, values, with_ids, with_source,
+                                                    data):
         """Ids with quotes, backslashes, control and non-ASCII characters,
-        and any finite floats, come out as per-record json.dumps."""
-        ids = ids + ['"q"', "back\\slash", "ü€😀", "\n\x00"]
+        or ids by row number through source_rows, and any finite floats,
+        -0.0, subnormals and ±1e308 among them, come out as per-record
+        strict_json, which write_selection's row lines bypass."""
+        ids = ids + ['"q"', "back\\slash", "ü€😀", "\n\x00\x1f\x7f"]
+        source = tuple(data.draw(st.integers(0, 10**12)) for _ in ids) if with_source else None
         n = len(values) // 2
         order = tuple(data.draw(st.integers(0, len(ids) - 1)) for _ in range(n))
         r = SelectionResult(order=order, objective_trace=tuple(values[:n]),
@@ -1099,13 +1114,14 @@ class TestSelectionSerialization:
                             pivot_trace=tuple(values[:n]), method="sift",
                             lambda_prime=values[-1])
         buf = io.StringIO()
-        write_selection(r, ids, buf)
-        records = [{"rank": i + 1, "row": row, "id": ids[row], "objective": r.objective_trace[i],
-                    "sigma_sq": r.sigma_trace[i + 1]} for i, row in enumerate(order)]
+        write_selection(r, ids if with_ids else None, buf, source_rows=source)
+        rows = [row if source is None else source[row] for row in order]
+        records = [{"rank": i + 1, "row": orig, "id": ids[row] if with_ids else str(orig),
+                    "objective": r.objective_trace[i], "sigma_sq": r.sigma_trace[i + 1]}
+                   for i, (row, orig) in enumerate(zip(order, rows))]
         records.append({"method": "sift", "lambda_prime": r.lambda_prime, "n": n,
                         "sigma0_sq": r.sigma_trace[0], "sigma_final_sq": r.sigma_trace[-1]})
-        assert buf.getvalue() == "".join(json.dumps(rec, allow_nan=False) + "\n"
-                                         for rec in records)
+        assert buf.getvalue() == "".join(strict_json(rec) + "\n" for rec in records)
 
     def test_read_selection_requires_summary(self, tmp_path):
         p = tmp_path / "sel.jsonl"

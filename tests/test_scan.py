@@ -206,6 +206,42 @@ def test_the_one_number_threshold_rounds_up_to_the_storage_dtype():
     np.testing.assert_array_equal(keep, selectors._survivors(s, np.full(s.shape, E), 2))
 
 
+def _one_partition(s, E, k):
+    """The one-number filter with kth from one partition of every score:
+    the rows with s_i ≥ kth − 2E, rounded up to s's dtype."""
+    lo = float(np.partition(s, s.size - k)[s.size - k]) - 2 * E
+    cut = s.dtype.type(lo)
+    if float(cut) < lo:
+        cut = np.nextafter(cut, s.dtype.type(np.inf))
+    return np.flatnonzero(s >= cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(["normal", "ties", "equal"]),
+       dtype=st.sampled_from([np.float32, np.float64]), k=st.integers(1, 40),
+       per_k=st.sampled_from([16, 16, 17, 60]), offset=st.integers(-4, 4),
+       E=st.sampled_from([0.0, 5e-324, 1e-7, 0.05, 0.2, 0.5, 1e3]),
+       seed=st.integers(0, 2**31 - 1))
+def test_the_sampled_kth_keeps_the_rows_of_one_partition(shape, dtype, k, per_k, offset, E,
+                                                          seed):
+    """With at least 16k scores the filter takes kth from the rows at or
+    above a threshold from every 8th score. On sizes either side of that
+    switch and well past it, with many ties at the k-th score, all scores
+    equal, and E from 0 through the gap between that threshold and the
+    k-th score (scores of size 1) to far beyond the spread, it keeps
+    exactly the rows that one partition of every score keeps."""
+    rng = np.random.default_rng(seed)
+    n = max(k, per_k * k + offset)
+    if shape == "normal":
+        s = rng.normal(size=n)
+    elif shape == "ties":  # a few values, so the k-th ties with many rows
+        s = rng.integers(0, 4, size=n) * rng.normal()
+    else:
+        s = np.full(n, rng.normal())
+    s = s.astype(dtype)
+    np.testing.assert_array_equal(selectors._survivors(s, E, k), _one_partition(s, E, k))
+
+
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), dtype=st.sampled_from([np.float32, np.float64]),
        d=st.integers(1, 12), K=st.integers(1, 150), frac=st.floats(0.0, 1.0),

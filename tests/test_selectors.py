@@ -252,8 +252,14 @@ class TestGreedyKernel:
         """The kernel skips I·z before its first fold and the W product
         while no w waits to be folded. Over 130 picks, two folds, on
         duplicate-heavy pools, with and without kept columns, its order and
-        traces are the bytes of the step that always multiplies."""
+        traces are the bytes of the step that always multiplies. The
+        patched step must run on every step, or the kernel no longer calls
+        _project and the comparison tests nothing: on these unit rows at
+        λ′ ≥ 1e-12 no pick is round-off, so every step conditions."""
+        calls = []
+
         def unshortened(Z, p, A, W):
+            calls.append(p)
             z = Z[p]
             return (np.eye(z.size) if A is None else A) @ z - W.T @ (W @ z)
 
@@ -264,10 +270,13 @@ class TestGreedyKernel:
         for seed in range(8):
             space, q = near_duplicate_pool(seed)
             picks = min(n, space.rows) if select is nn_select else n  # nn picks distinct rows
+            assert cfg.lambda_prime >= selectors._DEN_FLOOR * np.square(space.data).sum(1).max()
             fast = select(space, q, picks, cfg)
+            calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(selectors, "_project", unshortened)
                 full = select(space, q, picks, cfg)
+            assert len(calls) == picks
             assert fast.order == full.order
             assert fast.objective_trace == full.objective_trace
             assert fast.sigma_trace == full.sigma_trace
@@ -385,6 +394,39 @@ class TestGreedyKernel:
             assert back._sq is None
             assert sift_select(back, q, 30, cfg) == sift
             assert uncertainty_sampling_select(back, q, 30, cfg) == us
+
+    @pytest.mark.parametrize("kind", ["distinct", "copies", "signed zeros"])
+    def test_a_distinct_pool_arrives_with_its_start_state(self, kind):
+        """A pool whose kept scores strictly fall arrives with _sq at
+        (data, None, None), and the selectors skip _first_rows on it; after
+        a selection its state is the bytes of _first_rows (None) and the
+        einsum on its data. A pool with copies, or with rows that differ
+        only by ±0.0, has tied scores and arrives without one. Either way
+        sift and us on the pool equal them on a fresh EmbeddingSet of its
+        data, and a pickled pool carries no _sq."""
+        rng = np.random.default_rng(64)
+        X = rng.normal(size=(200, 16))
+        X[:, 0] = 0.0
+        if kind != "distinct":  # 120 of 100 twin pairs keep at least 20 pairs
+            X[100:] = X[:100]
+            X[100:, 0] = -0.0 if kind == "signed zeros" else 0.0
+        space = normalize_rows(EmbeddingSet._certified(X.astype(np.float32)))
+        q, cfg = unit_vector(rng, 16), KernelConfig()
+        pool = preselect_candidates(space, q, 120)
+        if kind == "distinct":
+            assert pool._sq[0] is pool.data and pool._sq[1:] == (None, None)
+            assert selectors._first_rows(pool.data) is None
+        else:
+            assert pool._sq is None and selectors._first_rows(pool.data).size < 120
+        fresh = EmbeddingSet(data=pool.data)
+        assert sift_select(pool, q, 40, cfg) == sift_select(fresh, q, 40, cfg)
+        assert uncertainty_sampling_select(pool, q, 40, cfg) == \
+            uncertainty_sampling_select(fresh, q, 40, cfg)
+        for a, b in zip(pool._sq, fresh._sq):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        if kind == "distinct":
+            assert pool._sq[1].tobytes() == np.einsum("ij,ij->i", pool.data, pool.data).tobytes()
+        assert pickle.loads(pickle.dumps(pool))._sq is None
 
     def test_an_identity_factor_keeps_no_columns(self, monkeypatch):
         """With fewer rows than dimensions a pick's column is w itself, so
