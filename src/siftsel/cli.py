@@ -138,13 +138,15 @@ def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelCo
 def _cmd_select(args) -> int:
     space, q = _load_pair(args)
     cfg = KernelConfig(lambda_prime=args.lambda_prime)
-    policy = None if args.alpha is None else StoppingPolicy(
-        alpha=args.alpha, n_max=args.n_select)
     t0 = time.perf_counter()
     pool = _pool(space, q, args.preselect_k)
+    if args.method == "nn" and args.n_select > pool.rows:
+        raise InputError(f"--n {args.n_select} distinct rows requested, but the pool has "
+                         f"{pool.rows} (--preselect-k {args.preselect_k})")
     result = _run_method(args.method, pool, q, args.n_select, cfg)
-    if policy is not None:
-        result = apply_adaptive_stopping(result, policy)
+    if args.alpha is not None:  # after the selection checks --n, so its error names n_select
+        result = apply_adaptive_stopping(
+            result, StoppingPolicy(alpha=args.alpha, n_max=args.n_select))
     elapsed = time.perf_counter() - t0
 
     write_selection(result, pool.ids,

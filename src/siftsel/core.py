@@ -15,10 +15,10 @@ its independent oracle, λ′·qᵀ(XᵀX + λ′I_d)⁻¹q.
 An EmbeddingSet stores its rows in the dtype they arrived in (float32 when
 read from a file) and their float64 norms, taken by the file reader as it
 checks the rows or by normalize_rows, which divides by them; its float64
-matrix is built on first use. Every value that ranks, picks
-or is written is computed in 64-bit: float32 arithmetic serves only the
-scan in selectors and the filter after it, which discard rows provably
-outside a top k before the rows they keep are widened. EmbeddingSet
+matrix is built on first use. Every value that ranks, picks or is written
+is computed in 64-bit: float32 arithmetic serves only the scan in selectors
+and the filter after it, which discard rows that selectors' error bound
+proves outside a top k before the rows they keep are widened. EmbeddingSet
 checks every row it is given. Arrays the package makes itself, by reading a
 file, normalizing or preselecting, are checked as they are made and enter a
 set through EmbeddingSet._certified without a second pass.
@@ -119,11 +119,12 @@ class EmbeddingSet:
     rows.astype(float64) / norms[:, None], and kept; preselect_candidates
     and nn_select scan the stored rows and never build it. The row space
     that irreducible_uncertainty finds is kept in _span the same way, and
-    so is the state the greedy kernel starts from, in _sq: the distinct
-    rows of data, their squared norms and their indices, which selectors
-    computes (preselect_candidates fills all but the norms of a pool it
-    finds distinct). A pickled set carries its rows and divisors, none of
-    the values computed from them, the read-time norms included.
+    so are two things selectors computes: its scan bound's constants, in
+    _reach, and the greedy kernel's start state, in _sq: the distinct rows
+    of data, their squared norms and their indices (preselect_candidates
+    fills all but the norms of a pool it finds distinct). A pickled set
+    carries its rows and divisors, none of the values computed from them,
+    the read-time norms included.
     """
 
     __slots__ = ("ids", "normalized", "source_rows", "_rows", "_div", "_norms", "_data",
@@ -222,33 +223,6 @@ class EmbeddingSet:
         if self._norms is None:
             object.__setattr__(self, "_norms", _sum_sq_norms(self._rows))
         return self._norms
-
-    def _norm_reach(self) -> tuple[float, float, float, np.ndarray | None, float]:
-        """(a, reach, inv_div, rdiv, p), computed once and kept: with n_i the
-        computed norm of stored row i, (n_i + a)(1 + 2γ_{d+2}) bounds its
-        exact norm; reach·(1 + 2γ_{d+2}) bounds every row's exact norm over
-        its divisor, and inv_div every reciprocal divisor (1 without
-        divisors). rdiv is 1/div rounded to the storage dtype, read-only, and
-        fl(t·rdiv_i) in that dtype is within p·|t|/div_i plus half the
-        dtype's smallest subnormal of t/div_i, for any t that does not
-        overflow; None and 0 without divisors."""
-        if self._reach is None:
-            a = math.sqrt(self.dim) * 2.0 ** -537  # √(d × the smallest float64 subnormal)
-            if self._div is None:
-                reach = (float(self._row_norms().max()) if self.rows else 0.0) + a, 1.0, None, 0.0
-            else:
-                inv = (1 + 2.0 ** -52) / float(self._div.min())
-                rdiv = np.reciprocal(self._div).astype(self._rows.dtype, copy=False)
-                rdiv.flags.writeable = False
-                # rdiv_i is within rho/div_i of 1/div_i: rounded twice, in
-                # float64 and then the storage dtype, and by at most half a
-                # subnormal where it is one; the product rounds once more
-                fin = np.finfo(rdiv.dtype)
-                u, tiny = float(fin.eps) / 2, float(fin.smallest_subnormal)
-                rho = u + 2.0 ** -52 + float(self._div.max()) * tiny / 2
-                reach = 1 + a * inv, inv, rdiv, rho + u * (1 + rho)
-            object.__setattr__(self, "_reach", (a, *reach))
-        return self._reach
 
     @property
     def rows(self) -> int:

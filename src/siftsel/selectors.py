@@ -25,7 +25,6 @@ between equal rows goes to the smallest index by construction.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -160,16 +159,13 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     1. Scan: ŝ = x·q̃ for every stored row x, in the storage dtype (an
        SGEMV for float32 rows), with q̃ the query rounded to that dtype,
        multiplied in place by the row's reciprocal divisor rounded to that
-       dtype (_norm_reach) when the set stores unnormalized rows with
+       dtype (_scan_bound) when the set stores unnormalized rows with
        their norms.
-    2. Filter (_survivors), still in the storage dtype: ŝ lies within E_i
-       of the row's exact rescored score r_i, so every row with r_i at
-       least the k-th largest r has ŝ_i + E_i ≥ the k-th largest ŝ − E;
-       only rows below that are dropped. Rows with a non-finite ŝ are
-       always kept. When E is one number (every set with divisors, so every
-       normalized set) and every ŝ is finite, the k-th largest ŝ comes from
-       partitions in the storage dtype, and only the survivors are widened
-       to float64.
+    2. Filter (_survivors), still in the storage dtype: every row's ŝ lies
+       within one number E of its exact rescored score r, so a row with r
+       at least the k-th largest r has ŝ ≥ the k-th largest ŝ − 2E; only
+       rows below that are dropped, and rows with a non-finite ŝ are kept.
+       Only the kept rows are widened to float64.
     3. Rebuild the kept rows in float64, a block at a time.
     4. Rescore them with _rescore and take _top_k, which keeps ties in
        index order, as the full stable sort does. When the kept rows fit
@@ -184,29 +180,27 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
         |t − x·q| ≤ ‖x‖(γ_d‖q̃‖ + ‖q − q̃‖) + 2d·tiny     (scan, rounded query)
         |ŝ − t/div| ≤ p·‖x‖‖q̃‖(1 + γ_d)/div + tiny      (product, p ≈ 2u + u²)
         |r − x·q/div| ≤ g·‖x‖‖q‖/div + 4d·tiny₆₄(1 + ‖q‖) (rebuild and rescore)
-    with p from _norm_reach, 0 without divisors, and the two comparisons
-    each round by at most u₆₄|ŝ|. E_i sums these with ‖x‖ replaced by an
-    upper bound from the computed float64 norm, and every factor grows by
-    (1 + 2g)² to cover the float64 evaluation of the norms and of E
-    itself. For float64 rows q̃ = q and the same bound holds with
-    u = 2⁻⁵³. A rescored score that could overflow float64 keeps every
-    row.
+    with p from _scan_bound, 0 without divisors, and the two comparisons
+    each round by at most u₆₄|ŝ|. While q̃ is finite each |q_j − q̃_j| is
+    at most u|q_j| + tiny/2, so ‖q − q̃‖ ≤ u‖q‖ + √d·tiny/2 and ‖q̃‖ is at
+    most ‖q‖ plus that; for float64 rows q̃ = q and the same bound holds
+    with u = 2⁻⁵³. A q̃ with an infinity makes every ŝ non-finite. E sums
+    these with ‖x‖/div replaced by reach, an upper bound for every row,
+    and every factor grows by (1 + 2g)² to cover the float64 evaluation of
+    the norms and of E itself. A rescored score that could overflow
+    float64 keeps every row.
     """
-    rows, div = space._rows, space._div
-    d = space.dim
-    tiny, g, gd, grow = _bound_factors(rows.dtype, d)
-    under, reach, inv_div, rdiv, p = space._norm_reach()
+    rows, d = space._rows, space.dim
+    reach, inv_div, rdiv, p, u, tiny, g, gd, grow = _scan_bound(space)
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = qv.astype(rows.dtype)
-        s = rows @ qs
+        s = rows @ qv.astype(rows.dtype)
         if rdiv is not None:
             s *= rdiv
-        qs64 = qs.astype(np.float64)
-        qn, qsn, dq = _norm(qv), _norm(qs64), _norm(qv - qs64)
-        # E per unit of the bound on ‖x‖/div, then the underflow terms
-        c1 = grow * (gd * qsn + dq + g * qn + (p + 2 * _U64) * (1 + gd) * qsn)
-        E = c1 * reach if div is not None else space._row_norms() * c1 + c1 * under
-        E = E + grow * ((2 * d * inv_div * (1 + p) + 1) * tiny + 4 * d * _TINY64 * (1 + qn))
+        qn = _norm(qv)
+        dq = 0.0 if rows.dtype == np.float64 else u * qn + math.sqrt(d) * tiny / 2
+        qsn = qn + dq
+        E = reach * grow * (gd * qsn + dq + g * qn + (p + 2 * _U64) * (1 + gd) * qsn)
+        E += grow * ((2 * d * inv_div * (1 + p) + 1) * tiny + 4 * d * _TINY64 * (1 + qn))
         if not reach * qn * grow < sys.float_info.max / 4:
             keep = np.arange(space.rows)
         else:
@@ -221,43 +215,59 @@ def _ranked(space: EmbeddingSet, qv: np.ndarray,
     return keep[top], scores[top], picked
 
 
-@functools.lru_cache(maxsize=8)
-def _bound_factors(dtype: np.dtype, d: int) -> tuple[float, float, float, float]:
-    """(tiny, g, gd, grow) of _ranked's bound for rows of this dtype and
-    dimension: the dtype's smallest subnormal, γ_{d+2} in float64, γ_d in
-    the dtype's unit roundoff, and (1 + 2g)²."""
-    fin = np.finfo(dtype)
-    g = _gamma(d + 2, _U64)
-    return float(fin.smallest_subnormal), g, _gamma(d, float(fin.eps) / 2), (1 + 2 * g) ** 2
+def _scan_bound(space: EmbeddingSet) -> tuple:
+    """(reach, inv_div, rdiv, p, u, tiny, g, gd, grow), the constants of
+    _ranked's bound for a non-empty set, made once and kept in its _reach
+    slot. reach·(1 + 2g) bounds every stored row's exact norm over its
+    divisor (1 without divisors), and inv_div every reciprocal divisor.
+    rdiv is 1/div rounded to the storage dtype, read-only; fl(t·rdiv_i) in
+    that dtype is within p·|t|/div_i + tiny/2 of t/div_i for any t that
+    does not overflow (None and 0 without divisors). u and tiny are the
+    storage dtype's unit roundoff and smallest subnormal, g is γ_{d+2} in
+    float64, gd is γ_d in u, and grow is (1 + 2g)²."""
+    if space._reach is None:
+        d, div = space.dim, space._div
+        fin = np.finfo(space._rows.dtype)
+        u, tiny = float(fin.eps) / 2, float(fin.smallest_subnormal)
+        # a computed float64 norm n_i has (n_i + a)(1 + 2g) ≥ the exact norm
+        a = math.sqrt(d) * 2.0 ** -537  # √(d × the smallest float64 subnormal)
+        if div is None:
+            reach, inv_div, rdiv, p = float(space._row_norms().max()) + a, 1.0, None, 0.0
+        else:
+            inv_div = (1 + 2.0 ** -52) / float(div.min())
+            rdiv = np.reciprocal(div).astype(space._rows.dtype, copy=False)
+            rdiv.flags.writeable = False
+            # rdiv_i is within rho/div_i of 1/div_i: rounded twice, in
+            # float64 and then the storage dtype, and by at most half a
+            # subnormal where it is one; the product rounds once more
+            rho = u + 2.0 ** -52 + float(div.max()) * tiny / 2
+            reach, p = 1 + a * inv_div, rho + u * (1 + rho)
+        g = _gamma(d + 2, _U64)
+        object.__setattr__(space, "_reach", (reach, inv_div, rdiv, p, u, tiny, g,
+                                             _gamma(d, u), (1 + 2 * g) ** 2))
+    return space._reach
 
 
-def _survivors(s: np.ndarray, E, k: int) -> np.ndarray:
-    """The indices i, ascending, with s_i + E_i not below the k-th largest
-    s − E, and those of every non-finite s_i, for scores s in their storage
-    dtype and bounds E in float64.
+def _survivors(s: np.ndarray, E: float, k: int) -> np.ndarray:
+    """The indices i, ascending, with s_i not below kth − 2E for the k-th
+    largest s (_cut), for scores s in their storage dtype and a bound E in
+    float64, and those of every non-finite s_i, which are set to −inf.
 
-    E is a K-vector, or one number for every row. In the second case, when
-    the sum of s is finite (so is every s_i), the test is s_i ≥ kth − 2E
-    for the k-th largest s (_cut). With at least 16k scores, the k-th
-    largest of every 8th score, L, is at most kth, so the rows with
-    s_i ≥ L − 2E hold the top k and every survivor, and kth and the test
-    are taken over those rows alone: one partition of K/8 scores and one
-    of the few near the top, where the K-score partition took most of the
-    filter. The per-row path works in float64.
-    """
-    if np.ndim(E) == 0 and math.isfinite(np.add.reduce(s)):
-        if s.size < 16 * k:
-            return np.flatnonzero(s >= _cut(s, k, E))
-        near = np.flatnonzero(s >= _cut(s[::8], k, E))
-        top = s[near]
-        return near[top >= _cut(top, k, E)]
-    s = np.asarray(s, dtype=np.float64)
-    lo = s - E
-    bad = ~np.isfinite(s)
-    if bad.any():
-        lo[bad] = -np.inf
-    kth = -np.partition(-lo, k - 1)[k - 1]
-    return np.flatnonzero(~(s + E < kth) | bad)
+    When the sum of s is finite (so is every s_i) and there are at least
+    16k scores, the k-th largest of every 8th score, L, is at most kth, so
+    the rows with s_i ≥ L − 2E hold the top k and every survivor, and kth
+    and the test are taken over those rows alone: one partition of K/8
+    scores and one of the few near the top, where the K-score partition
+    took most of the filter."""
+    if not math.isfinite(np.add.reduce(s)):
+        bad = ~np.isfinite(s)
+        s[bad] = -np.inf
+        return np.flatnonzero((s >= _cut(s, k, E)) | bad)
+    if s.size < 16 * k:
+        return np.flatnonzero(s >= _cut(s, k, E))
+    near = np.flatnonzero(s >= _cut(s[::8], k, E))
+    top = s[near]
+    return near[top >= _cut(top, k, E)]
 
 
 def _cut(s: np.ndarray, k: int, E: float):

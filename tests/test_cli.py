@@ -286,6 +286,23 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("siftsel: ")
+        if argv[3:] == ["--n", "0", "--alpha", "1"]:  # the size is checked before the policy
+            assert lines[0] == "siftsel: n_select must be an integer >= 1 and <= 100000, got 0"
+
+    @pytest.mark.parametrize("preselect", ["200", "0"])
+    def test_more_nn_picks_than_the_pool_names_both_options(self, tmp_path, capsys, preselect):
+        """nn picks distinct rows, so --n 250 cannot be met from the 200-row
+        pool of the default --preselect-k, nor from 200 rows without one."""
+        emb, qry = tmp_path / "e.bin", tmp_path / "q.bin"
+        rows = 200 if preselect == "0" else 300
+        write_embeddings(EmbeddingSet(data=np.random.default_rng(0).normal(size=(rows, 4))), emb)
+        write_embeddings(EmbeddingSet(data=np.ones((1, 4))), qry)
+        code = main(["select", str(emb), str(qry), "--method", "nn", "--n", "250",
+                     "--preselect-k", preselect])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"siftsel: --n 250 distinct rows requested, but the pool has "
+                                f"200 (--preselect-k {preselect})\n")
 
     @pytest.mark.parametrize("kind", ["csv", "ids-sidecar"])
     def test_non_utf8_input_exits_2(self, wfiles, tmp_path, capsys, kind):

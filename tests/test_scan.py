@@ -143,6 +143,29 @@ def test_a_divided_scan_that_overflows_keeps_the_row():
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_query_beyond_float32s_range_keeps_every_row(normalized):
+    """q rounds to float32 with an infinity, so every scan score is ±inf
+    or NaN (0·inf), and the filter keeps every row."""
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]], np.float32)
+    space, q = _space(x, normalized), np.array([1e39, 1.0])
+    ranked, _ = _reference(space, q)
+    for k in (1, 2):
+        np.testing.assert_array_equal(preselect_candidates(space, q, k).source_rows, ranked[:k])
+
+
+def test_the_query_rounding_bound_covers_subnormal_queries():
+    """The query [1.49, 1.51]·2⁻¹⁴⁹ rounds to [1, 2]·2⁻¹⁴⁹ in float32, so
+    the scan ranks row 1 first, though row 0's exact score is the larger.
+    Only the √d·tiny/2 term of ‖q − q̃‖ ≤ u‖q‖ + √d·tiny/2 covers that
+    rounding; without it the filter drops row 0."""
+    x = np.array([[1e6, 0.0], [0.0, 0.98e6]], np.float32)
+    space = EmbeddingSet._certified(x, norms=np.linalg.norm(x.astype(np.float64), axis=1))
+    q = np.array([1.49, 1.51]) * F32_TINY
+    np.testing.assert_array_equal(q.astype(np.float32), np.array([1, 2]) * F32_TINY)
+    assert preselect_candidates(space, q, 1).source_rows == (0,)
+
+
 def _product_overflows(rng):
     """Rows of norm about 1e-3 against a query near float32's maximum: the
     scan stays finite, and its product with 1/div ≈ 700 overflows for the
@@ -171,39 +194,53 @@ def _reciprocal_underflows(rng):
 def test_a_product_with_the_reciprocal_divisors_that_leaves_float32s_range(case):
     """On a normalized float32 set the scan's scores are multiplied by
     1/div rounded to float32, in float32. Where that product overflows, its
-    scores are not finite and the per-row path keeps the rows; where it
+    scores are not finite and the filter keeps the rows; where it
     underflows, or 1/div itself is a subnormal, the bound covers the lost
     bits. The picks still equal the full stable argsort."""
     x, q = case(np.random.default_rng(11))
     space = _space(x.astype(np.float32), True)
+    rdiv = selectors._scan_bound(space)[2]
     with np.errstate(over="ignore"):
-        s = (space._rows @ q.astype(np.float32)) * space._norm_reach()[3]
+        s = (space._rows @ q.astype(np.float32)) * rdiv
     if case is _product_overflows:
         assert np.isinf(s).any() and np.isfinite(space._rows @ q.astype(np.float32)).all()
     elif case is _product_underflows:
         assert ((s != 0) & (np.abs(s) < np.finfo(np.float32).tiny)).any()
     else:
-        assert (space._norm_reach()[3] < np.finfo(np.float32).tiny).all()
+        assert (rdiv < np.finfo(np.float32).tiny).all()
     ranked, scores = _reference(space, q)
     for k in (1, 2, 7, len(x)):
         np.testing.assert_array_equal(preselect_candidates(space, q, k).source_rows, ranked[:k])
         assert nn_select(space, q, k, KernelConfig()).order == tuple(ranked[:k])
 
 
+def _per_row(s, E, k):
+    """The filter in float64 with a bound E_i for each row (a K-vector, or
+    one number for every row): the rows with s_i + E_i not below the k-th
+    largest s − E, and every row whose s_i is not finite: the reference
+    that _survivors' one-number compares in the storage dtype must match."""
+    s = np.asarray(s, dtype=np.float64)
+    lo = s - E
+    bad = ~np.isfinite(s)
+    lo[bad] = -np.inf
+    kth = -np.partition(-lo, k - 1)[k - 1]
+    return np.flatnonzero(~(s + E < kth) | bad)
+
+
 def test_the_one_number_threshold_rounds_up_to_the_storage_dtype():
     """kth − 2E is 1 + 2⁻²⁵ here, between the float32 scores 1 and
     1 + 2⁻²³, and nearer 1. A float32 score is at least it exactly when it
     is at least its round-up, so the row at 1 + 2⁻²³ survives and the row
-    at 1 goes, as in the per-row path, which works in float64. The cast
-    alone rounds to 1 and would keep that row too. Under NumPy 2, s + E
-    and kth − E in float32 would both round to 1.5 and keep it."""
+    at 1 goes, as in the per-row reference, which works in float64. The
+    cast alone rounds to 1 and would keep that row too. Under NumPy 2,
+    s + E and kth − E in float32 would both round to 1.5 and keep it."""
     above = float(np.nextafter(np.float32(1), np.float32(2)))
     s = np.array([2.0, 1.0, above, 0.5, 2.0], dtype=np.float32)
     E = (1 - 2.0 ** -25) / 2
     assert float(np.float32(2.0 - 2 * E)) != 2.0 - 2 * E
     keep = selectors._survivors(s, E, 2)
     np.testing.assert_array_equal(keep, [0, 2, 4])
-    np.testing.assert_array_equal(keep, selectors._survivors(s, np.full(s.shape, E), 2))
+    np.testing.assert_array_equal(keep, _per_row(s, np.full(s.shape, E), 2))
 
 
 def _one_partition(s, E, k):
@@ -244,31 +281,33 @@ def test_the_sampled_kth_keeps_the_rows_of_one_partition(shape, dtype, k, per_k,
 
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), dtype=st.sampled_from([np.float32, np.float64]),
-       d=st.integers(1, 12), K=st.integers(1, 150), frac=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**31 - 1))
-def test_both_filter_branches_keep_the_same_rows(family, dtype, d, K, frac, seed):
-    """On a normalized set the scan bound is one number, and the filter
-    takes the k-th score from one partition of the scan's scores whenever
-    they are all finite. It keeps the rows, in the same order, that the
-    per-row path keeps given that number for every row; so _ranked returns
-    the same rows and scores. Near-ties put ties at the k-th score."""
+       normalized=st.booleans(), d=st.integers(1, 12), K=st.integers(1, 150),
+       frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+def test_both_filter_branches_keep_the_same_rows(family, dtype, normalized, d, K, frac, seed):
+    """The scan bound is one number for every set, normalized or not, and
+    the filter takes the k-th score from partitions of the scan's scores in
+    their dtype, or sets the non-finite ones to −inf first. It keeps the
+    rows, in the same order, that the float64 per-row reference keeps given
+    that number for every row; so _ranked returns the same rows and scores.
+    Near-ties put ties at the k-th score."""
     rng = np.random.default_rng(seed)
     x, q = FAMILIES[family](rng, K, d, dtype)
-    if not (np.linalg.norm(x.astype(np.float64), axis=1) >= 1e-12).all():
+    if normalized and not (np.linalg.norm(x.astype(np.float64), axis=1) >= 1e-12).all():
         x[:, 0] = 1
     k = 1 + int(frac * (K - 1))
-    space = _space(x, True)
+    space = _space(x, normalized)
     survivors = selectors._survivors
     calls = []
 
     def per_row(s, E, k):
         assert np.ndim(E) == 0
-        return survivors(s, np.full(s.shape, E), k)
+        return _per_row(s, np.full(s.shape, E), k)
 
     def both(s, E, k):
         calls.append(k)
+        expected = per_row(s, E, k)  # before the filter sets non-finite scores to −inf
         keep = survivors(s, E, k)
-        np.testing.assert_array_equal(keep, per_row(s, E, k))
+        np.testing.assert_array_equal(keep, expected)
         return keep
 
     with mock.patch.object(selectors, "_survivors", both):
@@ -291,13 +330,25 @@ def test_survivors_are_few_on_gaussian_rows(monkeypatch):
     assert 50 <= sum(seen) <= 60
 
 
-def test_survivors_are_few_at_serving_scale():
-    """The serving case: 100k float32 unit Gaussian rows of 128 values,
-    k = 200. The filter keeps 200–201 rows, and at most 210 pass, so a bound
-    a hundred times too loose (210–220 rows on these queries) fails here
-    rather than slowing every query."""
+def _log_normal_rows(rng, K, d):
+    """float32 Gaussian rows whose norms spread log-normally (σ = 1)."""
+    x = rng.standard_normal((K, d), dtype=np.float32)
+    x *= np.exp(rng.standard_normal((K, 1))).astype(np.float32)
+    return x
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_survivors_are_few_at_serving_scale(normalized):
+    """The serving case: 100k float32 Gaussian rows of 128 values, k = 200,
+    as unit rows, and raw with log-normal norms, where the one number is
+    set by the longest row. The filter keeps 200–201 unit rows and 200–203
+    raw ones, and at most 210 pass, so a bound a hundred times too loose
+    (210–220 rows on the unit rows' queries) fails here rather than slowing
+    every query."""
     rng = np.random.default_rng(5)
-    space = _space(rng.standard_normal((100_000, 128), dtype=np.float32), True)
+    x = rng.standard_normal((100_000, 128), dtype=np.float32) if normalized \
+        else _log_normal_rows(rng, 100_000, 128)
+    space = _space(x, normalized)
     kept = []
     survivors = selectors._survivors
     with mock.patch.object(selectors, "_survivors",
@@ -307,16 +358,18 @@ def test_survivors_are_few_at_serving_scale():
     assert len(kept) == 3 and all(200 <= n <= 210 for n in kept)
 
 
-def test_the_filter_widens_only_the_survivors():
-    """On a normalized float32 set whose scan scores are finite, _ranked
-    allocates no K-sized float64 array: its peak is the float32 scan and
-    one float32 copy that the partition takes, 8 bytes a row. A float64
-    score array beside the scan would take it to 12."""
+@pytest.mark.parametrize("normalized", [True, False])
+def test_the_filter_widens_only_the_survivors(normalized):
+    """On a float32 set whose scan scores are finite, normalized or raw
+    with spread-out norms, _ranked allocates no K-sized float64 array: its
+    peak is the float32 scan and one float32 copy that the partition takes,
+    8 bytes a row. A float64 score array beside the scan would take it to
+    12, and a float64 bound for each row with a float64 filter to 45."""
     rng = np.random.default_rng(6)
     K = 50_000
-    space = _space(rng.standard_normal((K, 16), dtype=np.float32), True)
+    space = _space(_log_normal_rows(rng, K, 16), normalized)
     q = rng.normal(size=16)
-    selectors._ranked(space, q, 10)  # the set's reciprocal divisors are made once
+    selectors._ranked(space, q, 10)  # the set's bound constants are made once
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
