@@ -122,7 +122,7 @@ class EmbeddingSet:
     so are two things selectors computes: its scan bound's constants, in
     _reach, and the greedy kernel's start state, in _sq: the distinct rows
     of data, their squared norms and their indices (preselect_candidates
-    fills all but the norms of a pool it finds distinct). A pickled set
+    fills all of it for a pool it finds distinct). A pickled set
     carries its rows and divisors, none of the values computed from them,
     the read-time norms included.
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,19 +253,17 @@ def _survivors(s: np.ndarray, E: float, k: int) -> np.ndarray:
     largest s (_cut), for scores s in their storage dtype and a bound E in
     float64, and those of every non-finite s_i, which are set to −inf.
 
-    When the sum of s is finite (so is every s_i) and there are at least
-    16k scores, the k-th largest of every 8th score, L, is at most kth, so
-    the rows with s_i ≥ L − 2E hold the top k and every survivor, and kth
-    and the test are taken over those rows alone: one partition of K/8
-    scores and one of the few near the top, where the K-score partition
-    took most of the filter."""
+    When the sum of s is finite (so is every s_i), the k-th largest L of
+    every 8th score from 16k scores up (below that, of every score) is at
+    most kth, so the rows with s_i ≥ L − 2E hold the top k and every
+    survivor, and kth and the test are taken over those rows alone: one
+    partition of K/8 scores and one of the few near the top, where the
+    K-score partition took most of the filter."""
     if not math.isfinite(np.add.reduce(s)):
         bad = ~np.isfinite(s)
         s[bad] = -np.inf
         return np.flatnonzero((s >= _cut(s, k, E)) | bad)
-    if s.size < 16 * k:
-        return np.flatnonzero(s >= _cut(s, k, E))
-    near = np.flatnonzero(s >= _cut(s[::8], k, E))
+    near = np.flatnonzero(s >= _cut(s[::8] if s.size >= 16 * k else s, k, E))
     top = s[near]
     return near[top >= _cut(top, k, E)]
 
@@ -338,7 +336,7 @@ def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
 
 def _greedy_kernel(
     X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray,
-    method: str
+    names: np.ndarray | None, method: str
 ) -> SelectionResult:
     """The exact greedy conditioning loop behind every selector.
 
@@ -370,7 +368,8 @@ def _greedy_kernel(
     pick(step, kq, diag) returns the next row of X and the objective value
     recorded for it, given the current conditional k(q,·) and k(·,·).
     diag0 is the starting diagonal einsum("ij,ij->i", X, X); the kernel
-    works on a copy. Returns the selection, its order in rows of X.
+    works on a copy. Returns the selection, each pick named by names[row],
+    the row's index in the caller's set, or by the row when names is None.
 
     A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times its own
     starting diagonal is round-off, not information, and so is its k(q,p).
@@ -469,8 +468,9 @@ def _greedy_kernel(
         if sigma < 0.0:
             sigma = _clamp_variance(sigma, "sigma trace", sigma0)
         sigma_trace.append(sigma)
-    return SelectionResult(tuple(order), tuple(objective_trace), tuple(sigma_trace),
-                           tuple(pivot_trace), method, lam)
+    return SelectionResult(tuple(order if names is None else names[order].tolist()),
+                           tuple(objective_trace), tuple(sigma_trace), tuple(pivot_trace),
+                           method, lam)
 
 
 def _first_rows(X: np.ndarray) -> np.ndarray | None:
@@ -516,12 +516,10 @@ def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConf
     distinct rows, their squared norms einsum("ij,ij->i", rows, rows), and
     the index in data of each (_first_rows), None when that is every row
     and the rows are data itself. A pool that preselect_candidates has
-    found distinct arrives with (data, None, None), and only the squared
-    norms are computed."""
+    found distinct arrives with that whole state."""
     qv = _validate_inputs(candidates, q, n_select)
-    state = candidates._sq
-    if state is None or state[1] is None:
-        X, keep = candidates.data, None if state else _first_rows(candidates.data)
+    if candidates._sq is None:
+        X, keep = candidates.data, _first_rows(candidates.data)
         if keep is not None:
             X = X[keep]
             X.flags.writeable = False
@@ -536,10 +534,7 @@ def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConf
         best = int(scores.argmax())
         return best, scores.item(best)
 
-    result = _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick, sq, method)
-    if keep is None:
-        return result
-    return replace(result, order=tuple(keep[list(result.order)].tolist()))
+    return _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick, sq, keep, method)
 
 
 def sift_select(
@@ -601,33 +596,19 @@ def nn_select(
     returns the single top row n_select times, modeling retrieval over
     heavily duplicated data. objective_trace carries the scores; sigma_trace
     still reports the query's conditional variance after each inclusion so
-    the baselines are comparable on the same axis.
+    the baselines are comparable on the same axis. σ² depends on the picked
+    rows alone, so the kernel conditions on the k ranked rows, in rank order.
     """
     qv = _validate_inputs(candidates, q, n_select)
-    if failure_mode:
-        top, scores, X = _ranked(candidates, qv, 1)
-        order = [int(top[0])] * n_select
-    else:
-        if n_select > candidates.rows:
-            raise NotEnoughCandidates(
-                f"{n_select} distinct rows requested, only {candidates.rows} exist"
-            )
-        top, scores, X = _ranked(candidates, qv, n_select)
-        order = top.tolist()
-    score = dict(zip(top.tolist(), scores.tolist()))
-
-    # σ² depends on the picked rows alone, so only they are conditioned on:
-    # top's rows, distinct, and in failure mode the first alone
-    rows = list(dict.fromkeys(order))
-    X = X[:len(rows)]
-    slot = {row: i for i, row in enumerate(rows)}
-
-    def pick(step, kq, diag):
-        return slot[order[step]], score[order[step]]
-
-    result = _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick,
-                            np.einsum("ij,ij->i", X, X), "nn-f" if failure_mode else "nn")
-    return replace(result, order=tuple(order))
+    k = 1 if failure_mode else n_select
+    if k > candidates.rows:
+        raise NotEnoughCandidates(
+            f"{n_select} distinct rows requested, only {candidates.rows} exist"
+        )
+    top, scores, X = _ranked(candidates, qv, k)
+    return _greedy_kernel(X, qv, n_select, cfg.lambda_prime,
+                          lambda step, kq, diag: (step % k, scores.item(step % k)),
+                          np.einsum("ij,ij->i", X, X), top, "nn-f" if failure_mode else "nn")
 
 
 def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
@@ -640,7 +621,7 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
     work is on the k_pre kept rows alone.
     Equal rows rescore equal and _ranked returns them adjacent, so kept
     scores that strictly fall mean distinct rows: the pool's _sq is then
-    (data, None, None), and the selectors skip _first_rows on it.
+    its whole start state, and the selectors skip _first_rows on it.
     """
     qv = as_query(q, space.dim)
     check_param("k_pre", k_pre, ge=1, integer=True)
@@ -658,5 +639,7 @@ def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:
         source_rows=tuple(keep) if prior is None else tuple(prior[i] for i in keep),
     )
     if (scores[1:] < scores[:-1]).all():
-        object.__setattr__(pool, "_sq", (pool.data, None, None))
+        sq = np.einsum("ij,ij->i", pool.data, pool.data)
+        sq.flags.writeable = False
+        object.__setattr__(pool, "_sq", (pool.data, sq, None))
     return pool

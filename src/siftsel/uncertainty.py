@@ -52,6 +52,10 @@ _SPAN_CERTIFICATE = 10.0
 _PROBE_TOL = 1e-9
 _MAX_PROBE_CHAIN = 6
 
+# The most trials one submodularity probe may run, about 20 s at 0.2 ms a
+# trial; an unbounded count runs for as long as it is told to.
+MAX_TRIALS = 100_000
+
 
 @dataclass(frozen=True)
 class ConfidenceParams:
@@ -146,11 +150,13 @@ def submodularity_probe(
     a theorem — hence a probe, not a proof; greedy selection's (1−1/e)
     near-optimality is only guaranteed on inputs that pass.
     """
-    check_param("trials", trials, ge=1, integer=True)
+    check_param("trials", trials, ge=1, le=MAX_TRIALS, integer=True)
     check_param("seed", seed, ge=0, integer=True)
     qv = as_query(q, candidates.dim)
-    rng = np.random.default_rng(seed)
     K = candidates.rows
+    if K == 0:
+        raise InvalidParameter("candidates must be non-empty")
+    rng = np.random.default_rng(seed)
     worst = math.inf
     violations = 0
     for _ in range(trials):

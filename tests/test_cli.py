@@ -274,13 +274,18 @@ class TestExitCodes:
         ["stats", "{emb}", "{qry}", "--seed", "-1"],
         ["stats", "{emb}", "{qry}", "--beta-n", "0", "3"],
         ["stats", "{emb}", "{qry}", "--beta-n", "100001"],
+        ["stats", "{emb}", "{qry}", "--trials", "100000000000000000000"],
         ["select", "{zero_dim}", "{zero_dim}", "--no-normalize"],
+        ["stats", "{empty}", "{qry}"],
+        ["stats", "{empty}", "{qry}", "--no-normalize"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_exits_2_with_one_line(self, wfiles, tmp_path, capsys, argv):
         emb, qry = wfiles
         zero_dim = tmp_path / "zero_dim.bin"  # header only: 3 rows of dimension 0
         zero_dim.write_bytes(struct.pack("<8sIII", b"SIFTEMB1", 1, 3, 0))
-        code = main([a.format(emb=emb, qry=qry, zero_dim=zero_dim) for a in argv])
+        empty = tmp_path / "empty.bin"  # header only: 0 rows of the query's dimension 2
+        empty.write_bytes(struct.pack("<8sIII", b"SIFTEMB1", 1, 0, 2))
+        code = main([a.format(emb=emb, qry=qry, zero_dim=zero_dim, empty=empty) for a in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -288,6 +293,10 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("siftsel: ")
         if argv[3:] == ["--n", "0", "--alpha", "1"]:  # the size is checked before the policy
             assert lines[0] == "siftsel: n_select must be an integer >= 1 and <= 100000, got 0"
+        if "--trials" in argv:  # a count that would run for ages is refused, not run
+            assert lines[0].startswith("siftsel: trials must be an integer >= 1 and <= 100000")
+        if "{empty}" in argv:  # the probe refuses a set of no rows, as select does
+            assert lines[0] == "siftsel: candidates must be non-empty"
 
     @pytest.mark.parametrize("preselect", ["200", "0"])
     def test_more_nn_picks_than_the_pool_names_both_options(self, tmp_path, capsys, preselect):

@@ -256,17 +256,22 @@ def _one_partition(s, E, k):
 @settings(max_examples=300, deadline=None)
 @given(shape=st.sampled_from(["normal", "ties", "equal"]),
        dtype=st.sampled_from([np.float32, np.float64]), k=st.integers(1, 40),
-       per_k=st.sampled_from([16, 16, 17, 60]), offset=st.integers(-4, 4),
+       per_k=st.sampled_from([0, 1, 15, 16, 16, 17, 60]), offset=st.integers(-4, 4),
        E=st.sampled_from([0.0, 5e-324, 1e-7, 0.05, 0.2, 0.5, 1e3]),
        seed=st.integers(0, 2**31 - 1))
+@example(shape="normal", dtype=np.float32, k=1000, per_k=3, offset=0, E=0.0, seed=0)
+@example(shape="ties", dtype=np.float32, k=1000, per_k=16, offset=-4, E=1e-7, seed=1)
+@example(shape="normal", dtype=np.float64, k=1000, per_k=1, offset=0, E=0.05, seed=2)
 def test_the_sampled_kth_keeps_the_rows_of_one_partition(shape, dtype, k, per_k, offset, E,
                                                           seed):
     """With at least 16k scores the filter takes kth from the rows at or
-    above a threshold from every 8th score. On sizes either side of that
-    switch and well past it, with many ties at the k-th score, all scores
-    equal, and E from 0 through the gap between that threshold and the
-    k-th score (scores of size 1) to far beyond the spread, it keeps
-    exactly the rows that one partition of every score keeps."""
+    above a threshold from every 8th score, and below that from every
+    score. On sizes from k itself through either side of that switch to
+    well past it (at k = 1000: 1,000, 3,000 and 15,996 scores), with many
+    ties at the k-th score, all scores equal, and E from 0 through the gap
+    between that threshold and the k-th score (scores of size 1) to far
+    beyond the spread, it keeps exactly the rows that one partition of
+    every score keeps."""
     rng = np.random.default_rng(seed)
     n = max(k, per_k * k + offset)
     if shape == "normal":

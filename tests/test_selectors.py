@@ -397,13 +397,13 @@ class TestGreedyKernel:
 
     @pytest.mark.parametrize("kind", ["distinct", "copies", "signed zeros"])
     def test_a_distinct_pool_arrives_with_its_start_state(self, kind):
-        """A pool whose kept scores strictly fall arrives with _sq at
-        (data, None, None), and the selectors skip _first_rows on it; after
-        a selection its state is the bytes of _first_rows (None) and the
-        einsum on its data. A pool with copies, or with rows that differ
-        only by ±0.0, has tied scores and arrives without one. Either way
-        sift and us on the pool equal them on a fresh EmbeddingSet of its
-        data, and a pickled pool carries no _sq."""
+        """A pool whose kept scores strictly fall arrives with its whole
+        start state in _sq: its data, the bytes of the einsum on its data,
+        read-only, and None for _first_rows, which the selectors then skip.
+        A pool with copies, or with rows that differ only by ±0.0, has tied
+        scores and arrives without one. Either way sift and us on the pool
+        equal them on a fresh EmbeddingSet of its data, and so does the state
+        they leave in _sq; a pickled pool carries no _sq."""
         rng = np.random.default_rng(64)
         X = rng.normal(size=(200, 16))
         X[:, 0] = 0.0
@@ -414,7 +414,9 @@ class TestGreedyKernel:
         q, cfg = unit_vector(rng, 16), KernelConfig()
         pool = preselect_candidates(space, q, 120)
         if kind == "distinct":
-            assert pool._sq[0] is pool.data and pool._sq[1:] == (None, None)
+            assert pool._sq[0] is pool.data and pool._sq[2] is None
+            assert pool._sq[1].tobytes() == np.einsum("ij,ij->i", pool.data, pool.data).tobytes()
+            assert not pool._sq[1].flags.writeable
             assert selectors._first_rows(pool.data) is None
         else:
             assert pool._sq is None and selectors._first_rows(pool.data).size < 120
@@ -424,8 +426,6 @@ class TestGreedyKernel:
             uncertainty_sampling_select(fresh, q, 40, cfg)
         for a, b in zip(pool._sq, fresh._sq):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
-        if kind == "distinct":
-            assert pool._sq[1].tobytes() == np.einsum("ij,ij->i", pool.data, pool.data).tobytes()
         assert pickle.loads(pickle.dumps(pool))._sq is None
 
     def test_an_identity_factor_keeps_no_columns(self, monkeypatch):
