@@ -19,9 +19,10 @@ import time
 import numpy as np
 
 from .core import EmbeddingSet, KernelConfig, as_query, normalize_rows
-from .errors import InputError, NumericalFailure, SiftselError
+from .errors import InputError, NumericalFailure, SiftselError, check_param
 from .io import read_embeddings, strict_json, write_selection
 from .selectors import (
+    MAX_N_SELECT,
     nn_select,
     preselect_candidates,
     sift_select,
@@ -163,6 +164,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    for n in args.beta_n or ():
+        check_param("--beta-n", n, ge=1, le=MAX_N_SELECT, integer=True)
     space, q = _load_pair(args)
     cfg = KernelConfig(lambda_prime=args.lambda_prime)
     probe = submodularity_probe(space, q, cfg, trials=args.trials, seed=args.seed)

@@ -34,11 +34,6 @@ import numpy as np
 from .core import NEGATIVE_VARIANCE_TOL, EmbeddingSet, KernelConfig, as_query
 from .errors import NotEnoughCandidates, NumericalFailure, check_param
 
-# The greedy kernel folds its rank-one updates into A this many at a time,
-# with one matrix product: at r = 200 an r×r elementwise update on every
-# step cost more than all the rest of the step.
-_FOLD_EVERY = 64
-
 # The most rows one selection may pick. A step costs a pass over the
 # candidates whatever the number of picks, so an unbounded count runs for
 # as long as it is told to: 100,000 picks from a 200-row pool take seconds.
@@ -59,12 +54,15 @@ _RING_MIN_WORK = 2 ** 16
 
 # A repeat pick's column is built from the kept columns only while its
 # denominator k(p,p)+λ′ is at least this fraction of the largest starting
-# diagonal. That column is a difference of terms as large as the starting
-# diagonal, so its rounding, next to the GEMV's, grows as the ratio
-# shrinks. Without the floor, on near-duplicate pools at λ′ = 1e-12, the
-# diagonals went negative in 2 of 100 runs; with it, σ² stayed as close to
-# posterior_variance as with the GEMV alone at every λ′ tried (1e-12 to 1).
-_RING_DEN_FLOOR = 2.0 ** -20
+# diagonal. That column is a difference of up to min(N, r) terms as large
+# as the starting diagonal, so its rounding, next to the GEMV's, grows as
+# the ratio shrinks. Without a floor, on near-duplicate pools at
+# λ′ = 1e-12, the diagonals went negative in 2 of 100 runs. At 2⁻²⁰ and at
+# 2⁻¹³, σ² at λ′ = 1e-4 erred against posterior_variance by more than with
+# the GEMV alone (1.61e-13 against 1.50e-13 at 2⁻²⁰); at 2⁻¹² it stayed as
+# close at every λ′ tried (1e-12 to 1). Unit rows at λ′ ≥ 2.5e-4 never
+# reach it.
+_RING_DEN_FLOOR = 2.0 ** -12
 
 # A pick whose denominator k(p,p)+λ′ is below this fraction of its own
 # starting diagonal k0(p,p) adds nothing (see _greedy_kernel). That k(p,p)
@@ -306,14 +304,6 @@ def _times_z(M: np.ndarray, Z: np.ndarray | None, p: int) -> np.ndarray:
     return M @ Z[p] if Z is not None else M[:, p].copy()
 
 
-def _ring_size(K: int, r: int, n_select: int) -> int:
-    """How many recent steps' columns the greedy kernel keeps for a K×r
-    factor: a quarter of its width (32 columns, 5 MB, for 20k×128
-    candidates), never more than the number of steps, and none when the
-    GEMV is under _RING_MIN_WORK multiply-adds."""
-    return min(n_select, r // 4) if K * r >= _RING_MIN_WORK else 0
-
-
 def _project(Z: np.ndarray | None, p: int, A: np.ndarray | None,
              W: np.ndarray) -> np.ndarray:
     """(A − WᵀW) z_p for row p of Z and the greedy kernel's current matrix,
@@ -350,20 +340,24 @@ def _greedy_kernel(
     the column k(·,p)/√(k(p,p)+λ′) is Z w and A becomes A − wwᵀ. The state
     is O(K + r²) whatever the number of picks — the incremental-conditioning
     trick of Chen, Zhang & Zhou 2018 ("Fast Greedy MAP Inference for DPPs",
-    arXiv 1709.05135) in feature space. The last few w are kept as rows of
-    W until they are folded into A, so the current matrix is A − WᵀW.
+    arXiv 1709.05135) in feature space. The kernel keeps one window of
+    min(N, r) conditioned steps, N = n_select: slot m holds the m-th step's
+    w as row m of W, its root √(k(p,p)+λ′) and, when a GEMV is at least
+    _RING_MIN_WORK multiply-adds, its column Z w. The current matrix is
+    A − WᵀW over the filled slots. When the window fills and steps remain,
+    the kernel folds W into A with one matrix product and starts a new one.
 
-    A step costs O(r²) for w plus the column. A new pick's column is one
-    GEMV against Z, K·r work, and w itself when Z is I, whose products with
-    z_p are read as columns (_times_z). Otherwise a repeat pick of row p,
-    last picked g < R steps before at step s, builds it from the columns, w
-    and roots of the last R steps, which the kernel keeps (R from
-    _ring_size): A_s z_p is root_s·w_s, and every step j since took
-    w_j(w_j·z_p) off it, so
-        Z A_t z_p = root_s·col_s − Σ_{j=s}^{t−1} col_j (w_j·z_p),
-    g·K work. Its value differs from the GEMV's only by rounding, which
-    _RING_DEN_FLOOR keeps small: a pick whose denominator is below it takes
-    the GEMV.
+    A step costs O(r²) for w plus the column. A pick's column is one GEMV
+    against Z, K·r work, and w itself when Z is I, whose products with z_p
+    are read as columns (_times_z). A repeat of row p whose last pick holds
+    slot a of the window, now at slot m, builds it from the kept columns
+    instead: A_a z_p is root_a·w_a, and every step j since took w_j(w_j·z_p)
+    off it, so
+        Z A_m z_p = root_a·col_a − Σ_{j=a}^{m−1} col_j (w_j·z_p),
+    (m − a)·K work. With N ≤ r the window never folds, so the kernel makes
+    one GEMV per distinct row. The built column differs from the GEMV's
+    only by rounding, which _RING_DEN_FLOOR keeps small: a pick whose
+    denominator is below it takes the GEMV.
 
     pick(step, kq, diag) returns the next row of X and the objective value
     recorded for it, given the current conditional k(q,·) and k(·,·).
@@ -388,17 +382,17 @@ def _greedy_kernel(
     Z, A = _candidate_factor(X)  # None is I, for A until the first fold
     K = X.shape[0]
     r = K if Z is None else Z.shape[1]
-    W = np.empty((_FOLD_EVERY, r))
+    size = min(n_select, r)
+    W, roots = np.empty((size, r)), np.empty(size)
+    cols = np.empty((size if Z is not None and K * r >= _RING_MIN_WORK else 0, K))
     m = 0
-    R = 0 if Z is None else _ring_size(K, r, n_select)
-    cols, ws, roots = np.empty((R, K)), np.empty((R, r)), np.empty(R)
     col, tmp = np.empty(K), np.empty(K)
-    last: dict[int, int] = {}  # row -> the step it was last picked at
+    slot: dict[int, int] = {}  # row -> the window slot of its last pick
     kq = X @ qv
     diag = diag0.copy()
     scale = float(diag.max())
     diag_tol = NEGATIVE_VARIANCE_TOL * max(scale, 1.0)
-    ring_floor = _RING_DEN_FLOOR * scale
+    build_floor = _RING_DEN_FLOOR * scale
     sigma = sigma0 = float(qv @ qv)
     sigma_trace = [sigma]
     order: list[int] = []
@@ -417,29 +411,18 @@ def _greedy_kernel(
         objective_trace.append(objective)
         pivot_trace.append(den)
         if skip:
-            # The ring's slot for this step stays stale, and no repeat can
-            # read it: a skip needs λ′ < _DEN_FLOOR·k0(p,p) ≤ _DEN_FLOOR·scale,
-            # and a row picked before has kept k(p,p) < λ′, up to round-off,
-            # since; so its denominator stays far below ring_floor.
             sigma_trace.append(sigma)
             continue
         root = math.sqrt(den)
         w = _project(Z, best, A, W[:m]) / root
-        if R:
-            col = cols[step % R]
-        s = last.get(best, -R)
-        if step - s < R and den >= ring_floor:
-            # the steps s..t−1 fill ring slots a..b−1, wrapping past R
-            a, b = s % R, step % R
-            parts = (slice(a, b),) if a < b else (slice(a, R), slice(0, b))
-            for i, j in enumerate(parts):
-                coef = ws[j] @ Z[best]
-                if i == 0:
-                    coef[0] -= roots[a]
-                coef /= -root
-                np.dot(coef, cols[j], out=tmp if i else col)
-            if len(parts) == 2:
-                col += tmp
+        a = slot.get(best)
+        if len(cols):
+            col = cols[m]
+        if a is not None and len(cols) and den >= build_floor:
+            coef = W[a:m] @ Z[best]
+            coef[0] -= roots[a]
+            coef /= -root
+            np.dot(coef, cols[a:m], out=col)
         elif Z is None:
             col[:] = w
         else:
@@ -455,15 +438,12 @@ def _greedy_kernel(
                     f"conditional diagonal went negative beyond round-off: {float(bad)!r}"
                 )
             np.maximum(diag, 0.0, out=diag)
-        if R:
-            ws[step % R] = w
-            roots[step % R] = root
-        last[best] = step
-        W[m] = w
+        W[m], roots[m], slot[best] = w, root, m
         m += 1
-        if m == _FOLD_EVERY:
+        if m == size and step + 1 < n_select:
             A = (np.eye(r) if A is None else A) - W.T @ W
             m = 0
+            slot.clear()
         sigma -= kq_best * kq_best / den
         if sigma < 0.0:
             sigma = _clamp_variance(sigma, "sigma trace", sigma0)
@@ -552,8 +532,8 @@ def sift_select(
     sigma_trace[i+1] = sigma_trace[i] − objective_trace[i]. With K distinct
     rows, a step costs a few elementwise passes over them plus
     O(min(K, d)²), and one K×min(K, d) matrix-vector product, whose column
-    a row picked again a few steps before may build from kept ones instead
-    (see _greedy_kernel).
+    a row picked again within the kernel's window of min(N, K, d) steps
+    builds from kept ones instead (see _greedy_kernel).
     """
     lam = cfg.lambda_prime
 

@@ -273,14 +273,20 @@ class TestExitCodes:
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--norm-bound", "inf"],
         ["stats", "{emb}", "{qry}", "--seed", "-1"],
         ["stats", "{emb}", "{qry}", "--beta-n", "0", "3"],
+        ["stats", "{emb}", "{qry}", "--beta-n", "0", "5"],
+        ["stats", "{emb}", "{qry}", "--beta-n", "-3"],
         ["stats", "{emb}", "{qry}", "--beta-n", "100001"],
         ["stats", "{emb}", "{qry}", "--trials", "100000000000000000000"],
         ["select", "{zero_dim}", "{zero_dim}", "--no-normalize"],
         ["stats", "{empty}", "{qry}"],
         ["stats", "{empty}", "{qry}", "--no-normalize"],
     ], ids=lambda argv: " ".join(argv))
-    def test_bad_input_exits_2_with_one_line(self, wfiles, tmp_path, capsys, argv):
+    def test_bad_input_exits_2_with_one_line(self, wfiles, tmp_path, capsys, monkeypatch, argv):
         emb, qry = wfiles
+        bad_beta = argv[4] if argv[3:4] == ["--beta-n"] and argv[4] in ("0", "-3", "100001") \
+            else None
+        if bad_beta is not None:  # refused before any file is read
+            monkeypatch.setattr("siftsel.cli._load_pair", lambda args: pytest.fail("loaded"))
         zero_dim = tmp_path / "zero_dim.bin"  # header only: 3 rows of dimension 0
         zero_dim.write_bytes(struct.pack("<8sIII", b"SIFTEMB1", 1, 3, 0))
         empty = tmp_path / "empty.bin"  # header only: 0 rows of the query's dimension 2
@@ -295,6 +301,9 @@ class TestExitCodes:
             assert lines[0] == "siftsel: n_select must be an integer >= 1 and <= 100000, got 0"
         if "--trials" in argv:  # a count that would run for ages is refused, not run
             assert lines[0].startswith("siftsel: trials must be an integer >= 1 and <= 100000")
+        if bad_beta is not None:
+            assert lines[0] == ("siftsel: --beta-n must be an integer >= 1 and <= 100000, "
+                                f"got {bad_beta}")
         if "{empty}" in argv:  # the probe refuses a set of no rows, as select does
             assert lines[0] == "siftsel: candidates must be non-empty"
 

@@ -91,6 +91,10 @@ def _reference(space: EmbeddingSet, q) -> tuple[np.ndarray, np.ndarray]:
 # than d) are factored through their Gram, and a pivot tolerance from the
 # largest row left the small rows out while the kernel conditioned on them
 @example(family="near_max", dtype=np.float32, normalized=False, d=9, K=9, frac=0.875, seed=0)
+# subnormal float32 queries, where the rounded query's √d·tiny/2 term of
+# the bound decides the cut: the oracle fails at both without that term
+@example(family="subnormal", dtype=np.float32, normalized=False, d=3, K=14, frac=0.0, seed=0)
+@example(family="subnormal", dtype=np.float32, normalized=False, d=3, K=14, frac=1.0, seed=0)
 @settings(max_examples=400, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), dtype=st.sampled_from([np.float32, np.float64]),
        normalized=st.booleans(), d=st.integers(1, 12), K=st.integers(1, 150),

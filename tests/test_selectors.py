@@ -145,6 +145,16 @@ def wide_pool(seed):
     return normalize_rows(EmbeddingSet(data=X)), unit_vector(rng, d)
 
 
+def clustered_pool():
+    """1000 unit rows around 8 random centres, 1% noise, d = 128, past the
+    default _RING_MIN_WORK; and a unit query."""
+    rng = np.random.default_rng(60)
+    centers = unit_rows(rng, 8, 128)
+    X = centers[rng.integers(0, 8, size=1000)] + 0.01 * rng.normal(size=(1000, 128))
+    space = EmbeddingSet(data=X / np.linalg.norm(X, axis=1, keepdims=True), normalized=True)
+    return space, unit_vector(rng, 128)
+
+
 def with_and_without_ring(monkeypatch, space, q, n, cfg, ring_from):
     """sift_select with the column ring on for GEMVs of at least `ring_from`
     multiply-adds, and with it off."""
@@ -250,8 +260,9 @@ class TestGreedyKernel:
     @pytest.mark.parametrize("select", [sift_select, uncertainty_sampling_select, nn_select])
     def test_step_shortcuts_change_no_byte(self, monkeypatch, select, lam, ring):
         """The kernel skips I·z before its first fold and the W product
-        while no w waits to be folded. Over 130 picks, two folds, on
-        duplicate-heavy pools, with and without kept columns, its order and
+        while no w waits to be folded. Over 130 picks on duplicate-heavy
+        pools, where sift and us fold at least twice (the window is
+        min(N, r) = d steps), with and without kept columns, its order and
         traces are the bytes of the step that always multiplies. The
         patched step must run on every step, or the kernel no longer calls
         _project and the comparison tests nothing: on these unit rows at
@@ -264,11 +275,11 @@ class TestGreedyKernel:
             return (np.eye(z.size) if A is None else A) @ z - W.T @ (W @ z)
 
         cfg, n = KernelConfig(lambda_prime=lam), 130
-        assert n > 2 * selectors._FOLD_EVERY
         if ring:
             monkeypatch.setattr(selectors, "_RING_MIN_WORK", 0)
         for seed in range(8):
             space, q = near_duplicate_pool(seed)
+            assert n > 2 * min(n, space.dim) and space.rows > space.dim
             picks = min(n, space.rows) if select is nn_select else n  # nn picks distinct rows
             assert cfg.lambda_prime >= selectors._DEN_FLOOR * np.square(space.data).sum(1).max()
             fast = select(space, q, picks, cfg)
@@ -451,7 +462,8 @@ class TestGreedyKernel:
     @pytest.mark.parametrize("lam", [1e-12, 1e-4, 0.01, 1.0])
     def test_repeat_columns_match_the_gemv(self, monkeypatch, lam):
         """On near-duplicate pools, where the same rows come back within and
-        beyond the kept window of R steps, the kernel picks what the kernel
+        beyond the kept window of R = min(N, d) steps, and from windows
+        already folded, the kernel picks what the kernel
         without that window (a GEMV on every step) picks, up to a step whose
         best scores tie within rounding. Up to there its σ² and objectives
         are within 1e-12 of the GEMV's, and over all picks its σ² are as
@@ -462,7 +474,7 @@ class TestGreedyKernel:
         for seed in range(60):
             space, q = near_duplicate_pool(seed)
             ring, gemv = with_and_without_ring(monkeypatch, space, q, n, cfg, ring_from=0)
-            R = min(n, space.dim // 4)
+            R = min(n, space.dim)
             t = next((i for i in range(n) if ring.order[i] != gemv.order[i]), n)
             if t < n:
                 assert abs(ring.objective_trace[t] - gemv.objective_trace[t]) <= 1e-12
@@ -483,24 +495,32 @@ class TestGreedyKernel:
         assert worst["ring"] <= worst["gemv"] * (1 + 1e-6) + 1e-15
 
     def test_repeat_columns_at_the_default_threshold(self, monkeypatch):
-        """A 1000×128 clustered pool is past _RING_MIN_WORK, and most of its
-        repeat picks come back within the kept window; picks are the GEMV
-        kernel's and σ² within 1e-12 of its."""
-        rng = np.random.default_rng(60)
-        centers = unit_rows(rng, 8, 128)
-        X = centers[rng.integers(0, 8, size=1000)] + 0.01 * rng.normal(size=(1000, 128))
-        space = EmbeddingSet(data=X / np.linalg.norm(X, axis=1, keepdims=True), normalized=True)
-        q = unit_vector(rng, 128)
+        """The clustered pool is past _RING_MIN_WORK, and its window of
+        min(N, r) = 100 steps holds all of its repeat picks; picks are the
+        GEMV kernel's and σ² within 1e-12 of its."""
+        space, q = clustered_pool()
         ring, gemv = with_and_without_ring(monkeypatch, space, q, 100, KernelConfig(),
                                            ring_from=selectors._RING_MIN_WORK)
         assert ring.order == gemv.order
-        last, near = {}, 0
-        for step, p in enumerate(ring.order):
-            near += p in last and step - last[p] < selectors._ring_size(1000, 128, 100)
-            last[p] = step
-        assert near >= 10
+        assert 100 - len(set(ring.order)) >= 10
         np.testing.assert_allclose(ring.sigma_trace, gemv.sigma_trace, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ring.objective_trace, gemv.objective_trace, rtol=0, atol=1e-12)
+
+    def test_one_column_product_per_distinct_row(self, monkeypatch):
+        """With N ≤ r the window never folds, so every repeat pick builds
+        its column from kept ones: on the clustered pool at N = 100, the
+        kernel multiplies the rows by a vector once per distinct pick (70),
+        where a ring of r/4 steps made 85 products."""
+        space, q = clustered_pool()
+        gemvs, dot = [], np.dot
+
+        def counting(a, *args, **kwargs):
+            gemvs.append(a.shape == (1000, 128))
+            return dot(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", counting)
+        r = sift_select(space, q, 100, KernelConfig())
+        assert sum(gemvs) == len(set(r.order)) == 70
 
 
 class TestFirstRows:
