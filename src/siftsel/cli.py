@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .selectors import (
 )
 from .uncertainty import (
     ConfidenceParams,
-    StoppingPolicy,
-    apply_adaptive_stopping,
+    _check_delta,
+    _check_probe,
     beta_classification,
     beta_regression,
     convergence_bound_rhs,
@@ -124,30 +125,28 @@ def _pool(space: EmbeddingSet, q: np.ndarray, preselect_k: int) -> EmbeddingSet:
     return preselect_candidates(space, q, preselect_k)
 
 
-def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelConfig):
+def _run_method(method: str, pool: EmbeddingSet, q, n_select: int, cfg: KernelConfig,
+                alpha: float | None):
     if method == "sift":
-        return sift_select(pool, q, n_select, cfg)
+        return sift_select(pool, q, n_select, cfg, alpha=alpha)
     if method == "nn":
-        return nn_select(pool, q, n_select, cfg)
+        return nn_select(pool, q, n_select, cfg, alpha=alpha)
     if method == "nn-f":
-        return nn_select(pool, q, n_select, cfg, failure_mode=True)
+        return nn_select(pool, q, n_select, cfg, failure_mode=True, alpha=alpha)
     if method == "us":
-        return uncertainty_sampling_select(pool, q, n_select, cfg)
+        return uncertainty_sampling_select(pool, q, n_select, cfg, alpha=alpha)
     raise InputError(f"unknown method {method!r}")
 
 
 def _cmd_select(args) -> int:
-    space, q = _load_pair(args)
     cfg = KernelConfig(lambda_prime=args.lambda_prime)
+    space, q = _load_pair(args)
     t0 = time.perf_counter()
     pool = _pool(space, q, args.preselect_k)
     if args.method == "nn" and args.n_select > pool.rows:
         raise InputError(f"--n {args.n_select} distinct rows requested, but the pool has "
                          f"{pool.rows} (--preselect-k {args.preselect_k})")
-    result = _run_method(args.method, pool, q, args.n_select, cfg)
-    if args.alpha is not None:  # after the selection checks --n, so its error names n_select
-        result = apply_adaptive_stopping(
-            result, StoppingPolicy(alpha=args.alpha, n_max=args.n_select))
+    result = _run_method(args.method, pool, q, args.n_select, cfg, args.alpha)
     elapsed = time.perf_counter() - t0
 
     write_selection(result, pool.ids,
@@ -164,10 +163,17 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    # every option is checked before a file is read; dim is the collection's
+    cfg = KernelConfig(lambda_prime=args.lambda_prime)
+    _check_probe(args.trials, args.seed)
+    _check_delta(args.delta)
+    params = ConfidenceParams(
+        vocab_size=args.vocab_size, norm_bound=args.norm_bound, lipschitz=args.lipschitz,
+        dim=1, reg_lambda=args.reg_lambda, noise_rho=args.noise_rho,
+    )
     for n in args.beta_n or ():
         check_param("--beta-n", n, ge=1, le=MAX_N_SELECT, integer=True)
     space, q = _load_pair(args)
-    cfg = KernelConfig(lambda_prime=args.lambda_prime)
     probe = submodularity_probe(space, q, cfg, trials=args.trials, seed=args.seed)
     out = {
         "rows": space.rows,
@@ -183,11 +189,7 @@ def _cmd_stats(args) -> int:
         },
     }
     if args.beta_n:
-        params = ConfidenceParams(
-            vocab_size=args.vocab_size, norm_bound=args.norm_bound,
-            lipschitz=args.lipschitz, dim=space.dim,
-            reg_lambda=args.reg_lambda, noise_rho=args.noise_rho,
-        )
+        params = replace(params, dim=space.dim)
         lam_min = data_space_lambda_min(space)
         # sift may pick a row again, so sizes above the row count select too
         full = sift_select(space, q, max(args.beta_n), cfg)

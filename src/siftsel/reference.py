@@ -6,20 +6,21 @@ regularized system from scratch with plain numpy. Slow and obviously
 correct is the point — the acceptance suite checks the optimized selectors
 against these outputs. One exception: realized_info_gain, the oracle for
 the greedy kernel's pivot record, reads posterior_variance's QR factor
-(core._ridge_r), which the kernel does not use.
+(core._ridge_r), which the kernel does not use. apply_adaptive_stopping,
+the oracle for the kernel's stopping, keeps its own copy of the rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import EmbeddingSet, KernelConfig, _as_row_matrix, _ridge_r
 from .errors import InstanceTooLarge, InvalidParameter, check_param
-from .selectors import SelectionResult
+from .selectors import SelectionResult, StoppingPolicy
 from .uncertainty import _PIVOT_TIE, _RANK_CUTOFF
 
 # Enumeration limits for the exhaustive optimum.
@@ -213,6 +214,23 @@ def lambda_min_oracle(space: EmbeddingSet) -> float:
     if not piv:
         raise InvalidParameter("data space has rank zero")
     return float(np.linalg.svd(rows[piv], compute_uv=False)[-1] ** 2)
+
+
+def apply_adaptive_stopping(result: SelectionResult, policy: StoppingPolicy) -> SelectionResult:
+    """Truncate a finished selection at the adaptive stopping point: the
+    first n with sqrt(sigma_trace[n]) > 1/(αn), or n = n_max, keeping the
+    n-th pick. A selector given alpha stops there itself, and its result
+    must equal this truncation of its full run."""
+    for n in range(1, len(result.order) + 1):
+        if math.sqrt(result.sigma_trace[n]) > 1.0 / (policy.alpha * n) or n >= policy.n_max:
+            return replace(
+                result,
+                order=result.order[:n],
+                objective_trace=result.objective_trace[:n],
+                sigma_trace=result.sigma_trace[: n + 1],
+                pivot_trace=result.pivot_trace[:n],
+            )
+    return result
 
 
 def compare_runs(oracle: SelectionResult, other: SelectionResult) -> OracleReport:

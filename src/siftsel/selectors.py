@@ -14,9 +14,11 @@ Four strategies share one result shape:
 
 All three selectors run one greedy conditioning kernel and differ only in
 the rule that names the next row, so their sigma traces are computed the
-same way. Repeated selection of the same row is always permitted for the
-variance based strategies — observing a row twice is informative under
-noise — while nearest-neighbor distinct mode excludes prior picks. Ties are
+same way; given alpha, the kernel stops at the paper's adaptive rule
+(adaptive_should_stop), so it computes only the picks it keeps. Repeated
+selection of the same row is always permitted for the variance based
+strategies — observing a row twice is informative under noise — while
+nearest-neighbor distinct mode excludes prior picks. Ties are
 broken by the smallest row index everywhere, which keeps every strategy
 deterministic. The variance based strategies run the kernel on a set's
 distinct rows and name each pick by the first index of its row, so a tie
@@ -103,11 +105,45 @@ class SelectionResult:
                 raise ValueError(f"{name} must have exactly len(order) entries")
 
 
-def _validate_inputs(candidates: EmbeddingSet, q, n_select: int) -> np.ndarray:
+@dataclass(frozen=True)
+class StoppingPolicy:
+    """Adaptive stopping: stop once σ_n exceeds 1/(αn), or at n_max."""
+
+    alpha: float
+    n_max: int
+
+    def __post_init__(self):
+        check_param("alpha", self.alpha, gt=0)
+        check_param("n_max", self.n_max, ge=1, integer=True)
+
+
+def adaptive_should_stop(sigma_n: float, n: int, policy: StoppingPolicy) -> bool:
+    """Stop once σ_n (the square root of the variance — not σ²) exceeds
+    1/(αn), strictly, or once n reaches n_max.
+
+    Large σ means the data space cannot explain the query well, so further
+    selection is predicted to pay little; the 1/(αn) schedule spends
+    selection effort proportionally to the predicted payoff.
+    """
+    check_param("sigma_n", sigma_n, ge=0)
+    check_param("n", n, ge=1, integer=True)
+    return _should_stop(sigma_n, n, policy)
+
+
+def _should_stop(sigma_n: float, n: int, policy: StoppingPolicy) -> bool:
+    # the rule, unchecked for the kernel: the checks took 7 µs a step on a 2-vCPU VM
+    return sigma_n > 1.0 / (policy.alpha * n) or n >= policy.n_max
+
+
+def _validate_inputs(candidates: EmbeddingSet, q, n_select: int,
+                     alpha: float | None) -> tuple[np.ndarray, StoppingPolicy | None]:
+    """The query as a vector and the stopping rule capped at n_select, None
+    without alpha. n_select is checked first, so its error names it."""
     if candidates.rows == 0:
         raise NotEnoughCandidates("candidate set is empty")
     check_param("n_select", n_select, ge=1, le=MAX_N_SELECT, integer=True)
-    return as_query(q, candidates.dim)
+    qv = as_query(q, candidates.dim)
+    return qv, None if alpha is None else StoppingPolicy(alpha=alpha, n_max=n_select)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -326,7 +362,7 @@ def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
 
 def _greedy_kernel(
     X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray,
-    names: np.ndarray | None, method: str
+    names: np.ndarray | None, method: str, stop: StoppingPolicy | None
 ) -> SelectionResult:
     """The exact greedy conditioning loop behind every selector.
 
@@ -365,6 +401,11 @@ def _greedy_kernel(
     works on a copy. Returns the selection, each pick named by names[row],
     the row's index in the caller's set, or by the row when names is None.
 
+    With a stopping policy the loop ends after the first pick n at which
+    adaptive_should_stop(σ_n, n) holds, skipped steps included. The window
+    and all else is sized from n_select, so a stopped run's steps are the
+    bytes of the full run's first n.
+
     A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times its own
     starting diagonal is round-off, not information, and so is its k(q,p).
     The kernel sets both to 0 and asks pick again: sift and us then move
@@ -399,6 +440,8 @@ def _greedy_kernel(
     objective_trace: list[float] = []
     pivot_trace: list[float] = []
     for step in range(n_select):
+        if stop is not None and step and _should_stop(math.sqrt(sigma), step, stop):
+            break
         while True:
             best, objective = pick(step, kq, diag)
             kq_best, diag_best = kq.item(best), diag.item(best)
@@ -486,7 +529,7 @@ def _first_rows(X: np.ndarray) -> np.ndarray | None:
 
 
 def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig,
-                     method: str, score) -> SelectionResult:
+                     alpha: float | None, method: str, score) -> SelectionResult:
     """The greedy kernel over the set's distinct rows, each step picking the
     first largest of score(kq, diag, buf), with buf two scratch K-vectors,
     and each pick named by the first index of its row in the set.
@@ -497,7 +540,7 @@ def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConf
     the index in data of each (_first_rows), None when that is every row
     and the rows are data itself. A pool that preselect_candidates has
     found distinct arrives with that whole state."""
-    qv = _validate_inputs(candidates, q, n_select)
+    qv, stop = _validate_inputs(candidates, q, n_select, alpha)
     if candidates._sq is None:
         X, keep = candidates.data, _first_rows(candidates.data)
         if keep is not None:
@@ -514,15 +557,11 @@ def _select_distinct(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConf
         best = int(scores.argmax())
         return best, scores.item(best)
 
-    return _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick, sq, keep, method)
+    return _greedy_kernel(X, qv, n_select, cfg.lambda_prime, pick, sq, keep, method, stop)
 
 
-def sift_select(
-    candidates: EmbeddingSet,
-    q,
-    n_select: int,
-    cfg: KernelConfig,
-) -> SelectionResult:
+def sift_select(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig, *,
+                alpha: float | None = None) -> SelectionResult:
     """Exact greedy variance minimization for the query.
 
     At each step every candidate x is scored by the marginal variance
@@ -533,7 +572,8 @@ def sift_select(
     rows, a step costs a few elementwise passes over them plus
     O(min(K, d)²), and one K×min(K, d) matrix-vector product, whose column
     a row picked again within the kernel's window of min(N, K, d) steps
-    builds from kept ones instead (see _greedy_kernel).
+    builds from kept ones instead (see _greedy_kernel). With alpha, the
+    selection stops at the adaptive rule (StoppingPolicy(alpha, n_select)).
     """
     lam = cfg.lambda_prime
 
@@ -542,33 +582,26 @@ def sift_select(
         np.add(diag, lam, out=buf[1])
         return np.divide(buf[0], buf[1], out=buf[0])
 
-    return _select_distinct(candidates, q, n_select, cfg, "sift", score)
+    return _select_distinct(candidates, q, n_select, cfg, alpha, "sift", score)
 
 
-def uncertainty_sampling_select(
-    candidates: EmbeddingSet,
-    q,
-    n_select: int,
-    cfg: KernelConfig,
-) -> SelectionResult:
+def uncertainty_sampling_select(candidates: EmbeddingSet, q, n_select: int,
+                                cfg: KernelConfig, *,
+                                alpha: float | None = None) -> SelectionResult:
     """Greedy selection of the candidate with the largest own conditional
     variance.
 
     The argmax ignores the query entirely (that is the point of the
     baseline), but sigma_trace still tracks the query's conditional variance
-    for comparison with the query-aware strategies.
+    for comparison with the query-aware strategies, and the adaptive rule
+    given alpha stops on it.
     """
-    return _select_distinct(candidates, q, n_select, cfg, "us",
+    return _select_distinct(candidates, q, n_select, cfg, alpha, "us",
                             lambda kq, diag, buf: diag)
 
 
-def nn_select(
-    candidates: EmbeddingSet,
-    q,
-    n_select: int,
-    cfg: KernelConfig,
-    failure_mode: bool = False,
-) -> SelectionResult:
+def nn_select(candidates: EmbeddingSet, q, n_select: int, cfg: KernelConfig,
+              failure_mode: bool = False, *, alpha: float | None = None) -> SelectionResult:
     """Nearest-neighbor retrieval by inner-product score.
 
     Distinct mode returns the n_select distinct rows with the largest
@@ -577,9 +610,10 @@ def nn_select(
     heavily duplicated data. objective_trace carries the scores; sigma_trace
     still reports the query's conditional variance after each inclusion so
     the baselines are comparable on the same axis. σ² depends on the picked
-    rows alone, so the kernel conditions on the k ranked rows, in rank order.
+    rows alone, so the kernel conditions on the k ranked rows, in rank order,
+    and stops there at the adaptive rule given alpha.
     """
-    qv = _validate_inputs(candidates, q, n_select)
+    qv, stop = _validate_inputs(candidates, q, n_select, alpha)
     k = 1 if failure_mode else n_select
     if k > candidates.rows:
         raise NotEnoughCandidates(
@@ -588,7 +622,8 @@ def nn_select(
     top, scores, X = _ranked(candidates, qv, k)
     return _greedy_kernel(X, qv, n_select, cfg.lambda_prime,
                           lambda step, kq, diag: (step % k, scores.item(step % k)),
-                          np.einsum("ij,ij->i", X, X), top, "nn-f" if failure_mode else "nn")
+                          np.einsum("ij,ij->i", X, X), top, "nn-f" if failure_mode else "nn",
+                          stop)
 
 
 def preselect_candidates(space: EmbeddingSet, q, k_pre: int) -> EmbeddingSet:

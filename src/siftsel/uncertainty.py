@@ -5,9 +5,10 @@ uncertainty reduction ψ and per-candidate marginal gain Δ, an empirical
 probe for diminishing marginal gains (the property behind greedy's (1−1/e)
 guarantee), the irreducible uncertainty floor η², an evaluable
 convergence-bound right-hand side, confidence-width multipliers β_n for
-classification and regression surrogates, the information-gain view of the
-selection objective with its relevance/redundancy split, and the
-compute-proportional adaptive stopping rule.
+classification and regression surrogates, and the information-gain view
+of the selection objective with its relevance/redundancy split. The
+compute-proportional adaptive stopping rule lives in selectors, inside the
+greedy kernel that it stops.
 
 Natural logarithms throughout.
 """
@@ -15,7 +16,7 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .core import (
     posterior_variance,
 )
 from .errors import DegenerateVariance, InvalidParameter, check_param
-from .selectors import SelectionResult
 
 # Relative singular-value cutoff separating true orthogonal components from
 # round-off when computing spans.
@@ -81,18 +81,6 @@ class ConfidenceParams:
         check_param("dim", self.dim, ge=1, integer=True)
         for name in ("norm_bound", "lipschitz", "reg_lambda", "noise_rho"):
             check_param(name, getattr(self, name), gt=0)
-
-
-@dataclass(frozen=True)
-class StoppingPolicy:
-    """Adaptive stopping: stop once σ_n exceeds 1/(αn), or at n_max."""
-
-    alpha: float
-    n_max: int
-
-    def __post_init__(self):
-        check_param("alpha", self.alpha, gt=0)
-        check_param("n_max", self.n_max, ge=1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -150,8 +138,7 @@ def submodularity_probe(
     a theorem — hence a probe, not a proof; greedy selection's (1−1/e)
     near-optimality is only guaranteed on inputs that pass.
     """
-    check_param("trials", trials, ge=1, le=MAX_TRIALS, integer=True)
-    check_param("seed", seed, ge=0, integer=True)
+    _check_probe(trials, seed)
     qv = as_query(q, candidates.dim)
     K = candidates.rows
     if K == 0:
@@ -177,6 +164,15 @@ def submodularity_probe(
         trials=trials,
         violations=violations,
     )
+
+
+def _check_probe(trials: int, seed: int) -> None:
+    check_param("trials", trials, ge=1, le=MAX_TRIALS, integer=True)
+    check_param("seed", seed, ge=0, integer=True)
+
+
+def _check_delta(delta: float) -> None:
+    check_param("delta", delta, gt=0, lt=1)
 
 
 def irreducible_uncertainty(space: EmbeddingSet, q) -> float:
@@ -333,7 +329,7 @@ def beta_classification(n: int, delta: float, p: ConfidenceParams) -> float:
 
     Grows logarithmically in n and shrinks as δ grows.
     """
-    check_param("delta", delta, gt=0, lt=1)
+    _check_delta(delta)
     check_param("n", n, ge=1, integer=True)
     V, B, L, d, lam = (
         p.vocab_size, p.norm_bound, p.lipschitz, p.dim, p.reg_lambda,
@@ -352,7 +348,7 @@ def beta_regression(n: int, delta: float, B: float, rho: float, gamma_n: float) 
     γ_n is the information gain of the observations; pass a selection's
     realized value, read from its pivot_trace, for an evaluable width.
     """
-    check_param("delta", delta, gt=0, lt=1)
+    _check_delta(delta)
     check_param("n", n, ge=1, integer=True)
     check_param("gamma_n", gamma_n, ge=0)
     check_param("rho", rho, gt=0)
@@ -385,41 +381,6 @@ def marginal_info_gain(x, X, q, cfg: KernelConfig) -> InfoGain:
     gain = 0.5 * (math.log(s_before) - math.log(s_after))
     relevance = 0.5 * (math.log(s_empty) - math.log(s_x))
     return InfoGain(gain=gain, relevance=relevance, redundancy=relevance - gain)
-
-
-def adaptive_should_stop(sigma_n: float, n: int, policy: StoppingPolicy) -> bool:
-    """Stop once σ_n (the square root of the variance — not σ²) exceeds
-    1/(αn), strictly, or once n reaches n_max.
-
-    Large σ means the data space cannot explain the query well, so further
-    selection is predicted to pay little; the 1/(αn) schedule spends
-    selection effort proportionally to the predicted payoff.
-    """
-    check_param("sigma_n", sigma_n, ge=0)
-    check_param("n", n, ge=1, integer=True)
-    return sigma_n > 1.0 / (policy.alpha * n) or n >= policy.n_max
-
-
-def apply_adaptive_stopping(result: SelectionResult, policy: StoppingPolicy) -> SelectionResult:
-    """Truncate a selection at the adaptive stopping point.
-
-    Greedy selections are prefix-stable: a full run's first n steps are
-    byte-equal to an n-step run, so truncating is stopping live; distinct nn,
-    which conditions on its top n rows alone, keeps the order but may round
-    σ² differently. The rule is evaluated at each n with
-    σ_n = sqrt(sigma_trace[n]); the first stopping n becomes the final
-    length, keeping the n-th pick.
-    """
-    for n in range(1, len(result.order) + 1):
-        if adaptive_should_stop(math.sqrt(result.sigma_trace[n]), n, policy):
-            return replace(
-                result,
-                order=result.order[:n],
-                objective_trace=result.objective_trace[:n],
-                sigma_trace=result.sigma_trace[: n + 1],
-                pivot_trace=result.pivot_trace[:n],
-            )
-    return result
 
 
 def predicted_performance_gain(

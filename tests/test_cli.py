@@ -247,7 +247,7 @@ class TestExitCodes:
     def test_non_finite_output_exits_3(self, wfiles, capsys, monkeypatch):
         emb, qry = wfiles
 
-        def nan_result(method, pool, q, n_select, cfg):
+        def nan_result(method, pool, q, n_select, cfg, alpha):
             return SelectionResult(order=(0,), objective_trace=(0.5,),
                                    sigma_trace=(1.0, float("nan")), pivot_trace=(1.01,),
                                    method=method, lambda_prime=cfg.lambda_prime)
@@ -272,6 +272,15 @@ class TestExitCodes:
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--noise-rho", "nan"],
         ["stats", "{emb}", "{qry}", "--beta-n", "3", "--norm-bound", "inf"],
         ["stats", "{emb}", "{qry}", "--seed", "-1"],
+        ["stats", "{emb}", "{qry}", "--trials", "0"],
+        ["stats", "{emb}", "{qry}", "--lambda", "0"],
+        ["stats", "{emb}", "{qry}", "--delta", "1"],
+        ["stats", "{emb}", "{qry}", "--beta-n", "3", "--delta", "0"],
+        ["stats", "{emb}", "{qry}", "--vocab-size", "1"],
+        ["stats", "{emb}", "{qry}", "--norm-bound", "0"],
+        ["stats", "{emb}", "{qry}", "--lipschitz", "0"],
+        ["stats", "{emb}", "{qry}", "--reg-lambda", "-1"],
+        ["stats", "{emb}", "{qry}", "--noise-rho", "nan"],
         ["stats", "{emb}", "{qry}", "--beta-n", "0", "3"],
         ["stats", "{emb}", "{qry}", "--beta-n", "0", "5"],
         ["stats", "{emb}", "{qry}", "--beta-n", "-3"],
@@ -285,8 +294,9 @@ class TestExitCodes:
         emb, qry = wfiles
         bad_beta = argv[4] if argv[3:4] == ["--beta-n"] and argv[4] in ("0", "-3", "100001") \
             else None
-        if bad_beta is not None:  # refused before any file is read
-            monkeypatch.setattr("siftsel.cli._load_pair", lambda args: pytest.fail("loaded"))
+        read = []
+        monkeypatch.setattr("siftsel.cli.read_embeddings",
+                            lambda *a, **k: read.append(a[0]) or read_embeddings(*a, **k))
         zero_dim = tmp_path / "zero_dim.bin"  # header only: 3 rows of dimension 0
         zero_dim.write_bytes(struct.pack("<8sIII", b"SIFTEMB1", 1, 3, 0))
         empty = tmp_path / "empty.bin"  # header only: 0 rows of the query's dimension 2
@@ -297,6 +307,8 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("siftsel: ")
+        if (argv[0] == "stats" and "{empty}" not in argv) or "--lambda" in argv:
+            assert read == []  # every option is refused before any file is read
         if argv[3:] == ["--n", "0", "--alpha", "1"]:  # the size is checked before the policy
             assert lines[0] == "siftsel: n_select must be an integer >= 1 and <= 100000, got 0"
         if "--trials" in argv:  # a count that would run for ages is refused, not run

@@ -16,6 +16,8 @@ from siftsel import (
     KernelConfig,
     NotEnoughCandidates,
     SelectionResult,
+    StoppingPolicy,
+    apply_adaptive_stopping,
     marginal_gain,
     nn_select,
     normalize_rows,
@@ -352,6 +354,50 @@ class TestGreedyKernel:
                     assert r.objective_trace == full.objective_trace[:n], (method, seed, n)
                     assert r.sigma_trace == full.sigma_trace[:n + 1], (method, seed, n)
                     assert r.pivot_trace == full.pivot_trace[:n], (method, seed, n)
+
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("pool", [near_duplicate_pool, wide_pool])
+    def test_stopped_runs_are_the_truncated_full_run(self, monkeypatch, pool, alpha, ring):
+        """Given alpha, the kernel stops at the adaptive rule itself. On
+        duplicate-heavy pools with K ≥ d and K < d, with kept columns forced
+        on and left off, every method's stopped run is the oracle's
+        truncation of its full run of the same size, traces and pivots
+        included. The queries are poorly explained, so every run stops
+        early, after 2 or 3 picks at α ≥ 0.5 and after 20 or more at 0.05,
+        but distinct nn's, whose size is the pool's on small pools."""
+        cfg, run = KernelConfig(), TestSelectionResultInvariants._run
+        if ring:
+            monkeypatch.setattr(selectors, "_RING_MIN_WORK", 0)
+        for seed in range(4):
+            space, q = pool(seed)
+            for method in ("sift", "us", "nn-f", "nn"):
+                n = min(130, space.rows) if method == "nn" else 130
+                full = run(method, space, q, n, cfg)
+                cut = apply_adaptive_stopping(full, StoppingPolicy(alpha=alpha, n_max=n))
+                r = run(method, space, q, n, cfg, alpha)
+                assert r.order == cut.order, (method, seed)
+                assert r.objective_trace == cut.objective_trace, (method, seed)
+                assert r.sigma_trace == cut.sigma_trace, (method, seed)
+                assert r.pivot_trace == cut.pivot_trace, (method, seed)
+                assert len(r.order) < n or method == "nn", (method, seed)
+
+    @pytest.mark.parametrize("method", ["sift", "us", "nn-f", "nn"])
+    def test_the_rule_may_fire_on_a_step_that_conditions_on_nothing(self, method):
+        """Rows ×1e8 in a plane of ℝ³ are round-off once two picks span
+        it, so every later step is skipped, with a pivot of exactly λ′,
+        while σ stays at the query's part off the plane, √0.75. At α = 0.5
+        the rule first holds at n = 3, σ_3 > 1/1.5, on a skipped step, and
+        the kernel ends there as the truncation does."""
+        rng = np.random.default_rng(5)
+        X = np.zeros((40, 3))
+        X[:, :2] = rng.normal(size=(40, 2)) * 1e8
+        q, cfg = np.array([0.3, 0.4, math.sqrt(0.75)]), KernelConfig()
+        space, run = EmbeddingSet(data=X), TestSelectionResultInvariants._run
+        full = run(method, space, q, 10, cfg)
+        r = run(method, space, q, 10, cfg, 0.5)
+        assert len(r.order) == 3 and r.pivot_trace[-1] == cfg.lambda_prime
+        assert r == apply_adaptive_stopping(full, StoppingPolicy(alpha=0.5, n_max=10))
 
     @pytest.mark.parametrize("method", ["sift", "nn-f", "us"])
     def test_a_step_that_conditions_on_nothing_records_lambda(self, monkeypatch, method):
@@ -738,14 +784,14 @@ class TestSelectionResultInvariants:
     METHODS = ("sift", "nn", "nn-f", "us")
 
     @staticmethod
-    def _run(method, space, q, n, cfg):
+    def _run(method, space, q, n, cfg, alpha=None):
         if method == "sift":
-            return sift_select(space, q, n, cfg)
+            return sift_select(space, q, n, cfg, alpha=alpha)
         if method == "nn":
-            return nn_select(space, q, n, cfg)
+            return nn_select(space, q, n, cfg, alpha=alpha)
         if method == "nn-f":
-            return nn_select(space, q, n, cfg, failure_mode=True)
-        return uncertainty_sampling_select(space, q, n, cfg)
+            return nn_select(space, q, n, cfg, failure_mode=True, alpha=alpha)
+        return uncertainty_sampling_select(space, q, n, cfg, alpha=alpha)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_traces_and_indices_are_well_formed(self, method):
@@ -809,3 +855,44 @@ def test_greedy_trace_identity(seed):
         gain = marginal_gain(
             space.data[r.order[i]], space.data[list(r.order[:i])], q, cfg)
         np.testing.assert_allclose(r.objective_trace[i], gain, atol=1e-9)
+
+
+def clustered_unit_pool():
+    """300 unit rows of d = 32 around 6 random centres, noise of 0.35 per
+    coordinate, and a unit query near the first row."""
+    rng = np.random.default_rng(0)
+    centers = rng.normal(size=(6, 32))
+    X = centers[rng.integers(0, 6, size=300)] + 0.35 * rng.normal(size=(300, 32))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    q = X[0] + 0.5 * rng.normal(size=32) / math.sqrt(32)
+    return EmbeddingSet(data=X, normalized=True), q / np.linalg.norm(q)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.01, 1.0])
+@pytest.mark.parametrize("method", TestSelectionResultInvariants.METHODS)
+def test_sigma_is_the_realized_error_of_the_posterior_mean(method, lam):
+    """σ² means something: in the Bayesian linear model behind it, with
+    w ~ N(0, I_d) and each pick, a repeat too, a fresh observation
+    y = xᵀw + ε with Var ε = λ′, σ²_N is the mean squared error of the
+    posterior mean of qᵀw (Rasmussen & Williams 2006, ch. 2). Over M =
+    20,000 seeded draws, the squared error of that mean, computed from the
+    picked rows by a dense solve, lies within 4 standard errors σ²√(2/M)
+    of σ²_N, on the whole set, a preselected pool and a 24-row pool
+    (K < d). sift at λ′ ≥ 0.01 and nn-f pick rows again."""
+    space, q = clustered_unit_pool()
+    pools = (space, preselect_candidates(space, q, 120),
+             EmbeddingSet(data=space.data[:24], normalized=True))
+    cfg, M = KernelConfig(lambda_prime=lam), 20_000
+    for i, pool in enumerate(pools):
+        r = TestSelectionResultInvariants._run(method, pool, q, 20, cfg)
+        if method == "nn-f" or (method == "sift" and lam >= 0.01):
+            assert len(set(r.order)) < 20, i
+        X = pool.data[list(r.order)]
+        a = np.linalg.solve(X @ X.T + lam * np.eye(20), X @ q)  # mean = aᵀy
+        rng = np.random.default_rng([5, i])
+        w = rng.standard_normal((M, 32))
+        y = w @ X.T + math.sqrt(lam) * rng.standard_normal((M, 20))
+        err = w @ q - y @ a
+        s2 = r.sigma_trace[-1]
+        z = (float(np.mean(err * err)) - s2) / (s2 * math.sqrt(2 / M))
+        assert abs(z) < 4, (i, s2, z)
