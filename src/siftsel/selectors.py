@@ -56,24 +56,25 @@ _RING_MIN_WORK = 2 ** 16
 
 # A repeat pick's column is built from the kept columns only while its
 # denominator k(p,p)+λ′ is at least this fraction of the largest starting
-# diagonal. That column is a difference of up to min(N, r) terms as large
-# as the starting diagonal, so its rounding, next to the GEMV's, grows as
-# the ratio shrinks. Without a floor, on near-duplicate pools at
-# λ′ = 1e-12, the diagonals went negative in 2 of 100 runs. At 2⁻²⁰ and at
-# 2⁻¹³, σ² at λ′ = 1e-4 erred against posterior_variance by more than with
-# the GEMV alone (1.61e-13 against 1.50e-13 at 2⁻²⁰); at 2⁻¹² it stayed as
-# close at every λ′ tried (1e-12 to 1). Unit rows at λ′ ≥ 2.5e-4 never
-# reach it.
+# diagonal: the built column is a difference of up to min(N, r) terms that
+# large. At 2⁻¹³ and below, σ² at λ′ = 1e-4 erred against posterior_variance
+# by more than with the GEMV alone; at 2⁻¹² it did not, at any λ′ from 1e-12
+# to 1. Unit rows at λ′ ≥ 2.5e-4 never reach it.
 _RING_DEN_FLOOR = 2.0 ** -12
 
-# A pick whose denominator k(p,p)+λ′ is below this fraction of its own
-# starting diagonal k0(p,p) adds nothing (see _greedy_kernel). That k(p,p)
-# is a difference of terms as large as k0(p,p), so it is then round-off,
-# and conditioning on it threw the diagonals far below zero: −1.5e10 on
-# 300×16 Gaussian rows ×1e8 at λ′ = 0.01. Unit rows at λ′ ≥ 1e-12 never
-# reach it. The floor is the row's own: a floor from the largest starting
-# diagonal took a fresh unit row next to a row ×1e7 for round-off.
-_DEN_FLOOR = 2.0 ** -40
+# LAPACK dgeqp3's recompute rule (Drmač & Bujanović 2008, "On the failure
+# of rank-revealing QR factorization software"): a downdated diagonal below
+# this fraction of its last exact value has lost its digits to cancellation.
+# Acting on such values threw the diagonals to −1.5e10 on 300×16 Gaussian
+# rows ×1e8 at λ′ = 0.01. The benchmark's diagonals stay above 2.5e-4.
+_DOWNDATE_FLOOR = 2.0 ** -26
+
+# A pick below this fraction of its starting diagonal takes w, k(p,p) and
+# k(q,p) from the projection too: a downdated k(p,p) errs by about u·k0/k
+# and scales w, and A keeps that error. At _DOWNDATE_FLOOR alone, A was
+# 2.6e-6 off and a pivot 1.6% after 36 picks of near-duplicate unit rows at
+# λ′ = 1e-12; at 2⁻¹⁶ every pivot stayed within 1e-10.
+_PICK_FLOOR = 2.0 ** -16
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class SelectionResult:
     variance minimizers, the inner-product score for nearest neighbor, the
     conditional variance of the pick for uncertainty sampling. sigma_trace
     holds the query's conditional variance sigma²_0..sigma²_N and has one
-    more entry than order. pivot_trace holds each step's k(p,p)+λ′, exactly
-    λ′ on a step that conditioned on nothing, so the first n picks' gain
+    more entry than order. pivot_trace holds each pick's own k(p,p)+λ′
+    given the picks before it, so the first n picks' gain
     ½ log det(I + K_n/λ′) is γ_n = ½ Σ_{i≤n} ln(pivot_trace[i−1]/λ′).
     """
 
@@ -321,10 +322,9 @@ def _candidate_factor(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | No
     Otherwise Z is the K×K identity and A₀ the Gram XXᵀ, so the greedy
     state stays K×K when d is large (a small pool of wide embeddings) and
     the kernel conditions the Gram itself. Nothing is factored, so rows that
-    depend on the others need no rank decision: their conditional entries
-    fall to round-off, which the kernel's λ′ > 0 absorbs. Each entry of the
-    Gram errs by about d·u·‖x_i‖‖x_j‖, relative to its own rows, and so do
-    the kernel's updates, so a row 1e9 times shorter than the longest keeps
+    depend on the others need no rank decision. Each entry of the Gram errs
+    by about d·u·‖x_i‖‖x_j‖, relative to its own rows, and so do the
+    kernel's updates, so a row 1e9 times shorter than the longest keeps
     what it adds. Cost O(dK²), one symmetric rank-K product.
     """
     K, d = X.shape
@@ -360,68 +360,76 @@ def _clamp_variance(value: float, context: str, scale: float = 1.0) -> float:
     return max(value, 0.0)
 
 
+def _extend_basis(Q: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+    """Q, padded with a zero row (none at λ′ = 0), and one more column:
+    [x; 0; √λ′] orthogonalized against Q's columns and normalized. A pass
+    that takes more than half the norm is repeated (Kahan's "twice is
+    enough"; rows ×1e38 needed three). Built from an empty d×0 Q, it is an
+    orthonormal basis of [[Pᵀ], [√λ′·I_m]] for the picked rows P, off which
+    the residuals r̃ of [x; 0] have r̃_xᵀr̃_y = k(x,y) given the picks."""
+    n, c = Q.shape
+    out = np.zeros((n + (lam > 0), c + 1))
+    out[:n, :c] = Q
+    Q, v = out[:, :c], out[:, c]
+    v[:x.size], v[n:] = x, math.sqrt(lam)
+    last, norm = math.inf, math.sqrt(v @ v)
+    while norm < last / 2:
+        v -= Q @ (Q.T @ v)
+        last, norm = norm, math.sqrt(v @ v)
+    v /= norm
+    return out
+
+
 def _greedy_kernel(
     X: np.ndarray, qv: np.ndarray, n_select: int, lam: float, pick, diag0: np.ndarray,
     names: np.ndarray | None, method: str, stop: StoppingPolicy | None
 ) -> SelectionResult:
-    """The exact greedy conditioning loop behind every selector.
+    """The exact greedy conditioning loop behind every selector, and behind
+    data_space_lambda_min's pivots at λ′ = 0.
 
     The conditional kernel among candidates is z_iᵀ A z_j, for the rows z_i
     of a K×r matrix Z and an r×r matrix A that starts at A₀, with
-    Z A₀ Zᵀ = XXᵀ (see _candidate_factor): the rows and I, or I and the
-    Gram. k(q,·) and k(·,·) are tracked as K-vectors from the raw rows
-    and query, so q is never expressed in Z's coordinates. Observing row p
-    with noise λ′ maps every entry to
-    k′(x,y) = k(x,y) − k(x,p)·k(p,y)/(k(p,p)+λ′); with w = A z_p/√(k(p,p)+λ′)
-    the column k(·,p)/√(k(p,p)+λ′) is Z w and A becomes A − wwᵀ. The state
-    is O(K + r²) whatever the number of picks — the incremental-conditioning
-    trick of Chen, Zhang & Zhou 2018 ("Fast Greedy MAP Inference for DPPs",
-    arXiv 1709.05135) in feature space. The kernel keeps one window of
-    min(N, r) conditioned steps, N = n_select: slot m holds the m-th step's
-    w as row m of W, its root √(k(p,p)+λ′) and, when a GEMV is at least
-    _RING_MIN_WORK multiply-adds, its column Z w. The current matrix is
-    A − WᵀW over the filled slots. When the window fills and steps remain,
-    the kernel folds W into A with one matrix product and starts a new one.
+    Z A₀ Zᵀ = XXᵀ (see _candidate_factor). k(q,·) and k(·,·) are tracked as
+    K-vectors from the raw rows and query. Observing row p with noise λ′
+    maps every entry to k′(x,y) = k(x,y) − k(x,p)·k(p,y)/(k(p,p)+λ′); with
+    w = A z_p/√(k(p,p)+λ′) the column k(·,p)/√(k(p,p)+λ′) is Z w and A
+    becomes A − wwᵀ: the incremental conditioning of Chen, Zhang & Zhou
+    2018 ("Fast Greedy MAP Inference for DPPs", arXiv 1709.05135) in
+    feature space, O(K + r²) state whatever the number of picks. The kernel
+    keeps one window of min(N, r) steps, N = n_select: slot m holds the m-th
+    step's w as row m of W, its root √(k(p,p)+λ′) and, when a GEMV is at
+    least _RING_MIN_WORK multiply-adds, its column Z w. The current matrix
+    is A − WᵀW; when the window fills and steps remain, W is folded into A.
 
-    A step costs O(r²) for w plus the column. A pick's column is one GEMV
-    against Z, K·r work, and w itself when Z is I, whose products with z_p
-    are read as columns (_times_z). A repeat of row p whose last pick holds
-    slot a of the window, now at slot m, builds it from the kept columns
-    instead: A_a z_p is root_a·w_a, and every step j since took w_j(w_j·z_p)
-    off it, so
+    A step costs O(r²) for w plus the column: one GEMV against Z, K·r work,
+    or w itself when Z is I (_times_z). A repeat of row p whose last pick
+    holds slot a, now at slot m, builds it from the kept columns instead,
         Z A_m z_p = root_a·col_a − Σ_{j=a}^{m−1} col_j (w_j·z_p),
-    (m − a)·K work. With N ≤ r the window never folds, so the kernel makes
-    one GEMV per distinct row. The built column differs from the GEMV's
-    only by rounding, which _RING_DEN_FLOOR keeps small: a pick whose
-    denominator is below it takes the GEMV.
+    (m − a)·K work, unless its denominator is below _RING_DEN_FLOOR. With
+    N ≤ r the window never folds: one GEMV per distinct row.
+
+    Round-off follows dgeqp3's rule. After each update, every row whose
+    k(x,x) is below _DOWNDATE_FLOOR times its last exact value (diag0 at
+    the start), or below zero, is recomputed by projecting [x; 0] twice
+    off an orthonormal basis of the ridge-augmented picks (_extend_basis):
+    with r̃ its residual, k(x,x) = ‖r̃_x‖² and k(q,x) = r̃_qᵀr̃_x. A pick
+    below _PICK_FLOOR of diag0 takes k(p,p), k(q,p), σ² = ‖r̃_q‖² and its w
+    and column, from X r̃_p, off the same basis; they fill its window slot.
+    So every pivot is the pick's own k(p,p)+λ′, no diagonal is negative,
+    and σ² below zero by more than NEGATIVE_VARIANCE_TOL·max(σ²₀, 1) raises
+    NumericalFailure.
 
     pick(step, kq, diag) returns the next row of X and the objective value
-    recorded for it, given the current conditional k(q,·) and k(·,·).
-    diag0 is the starting diagonal einsum("ij,ij->i", X, X); the kernel
-    works on a copy. Returns the selection, each pick named by names[row],
-    the row's index in the caller's set, or by the row when names is None.
-
-    With a stopping policy the loop ends after the first pick n at which
-    adaptive_should_stop(σ_n, n) holds, skipped steps included. The window
-    and all else is sized from n_select, so a stopped run's steps are the
-    bytes of the full run's first n.
-
-    A pick whose denominator k(p,p)+λ′ is below _DEN_FLOOR times its own
-    starting diagonal is round-off, not information, and so is its k(q,p).
-    The kernel sets both to 0 and asks pick again: sift and us then move
-    on to another row, with the objective their score gives it, so sift's
-    σ rule holds. When pick returns the same row (nn's order is fixed, or
-    every score is 0), the step is recorded with that objective and
-    changes nothing, so σ² stays where it was and the pivot, from the
-    zeroed diagonal, is exactly λ′.
-
-    A diagonal or σ² below zero by more than round-off raises
-    NumericalFailure; round-off is NEGATIVE_VARIANCE_TOL times the largest
-    starting value when that exceeds 1, so rows and queries far from unit
-    size are held to the same relative standard.
+    recorded for it, given the current k(q,·) and k(·,·), or None to stop.
+    diag0 is einsum("ij,ij->i", X, X); the kernel works on a copy. Each pick
+    is named by names[row], its index in the caller's set, or by the row
+    when names is None. With a stopping policy the loop ends after the
+    first pick n at which adaptive_should_stop(σ_n, n) holds; all else is
+    sized from n_select, so a stopped run is the bytes of the full run's
+    first n steps.
     """
     Z, A = _candidate_factor(X)  # None is I, for A until the first fold
-    K = X.shape[0]
+    K, d = X.shape
     r = K if Z is None else Z.shape[1]
     size = min(n_select, r)
     W, roots = np.empty((size, r)), np.empty(size)
@@ -431,37 +439,58 @@ def _greedy_kernel(
     slot: dict[int, int] = {}  # row -> the window slot of its last pick
     kq = X @ qv
     diag = diag0.copy()
-    scale = float(diag.max())
-    diag_tol = NEGATIVE_VARIANCE_TOL * max(scale, 1.0)
-    build_floor = _RING_DEN_FLOOR * scale
+    floor = _DOWNDATE_FLOOR * diag0  # of each row's diagonal when last exact
+    # argmin's fast path tests a step against the largest floor in one pass
+    fallen, top_floor = np.empty(K, dtype=bool), float(floor.max())
+    build_floor = _RING_DEN_FLOOR * float(diag.max())
     sigma = sigma0 = float(qv @ qv)
     sigma_trace = [sigma]
     order: list[int] = []
     objective_trace: list[float] = []
     pivot_trace: list[float] = []
+    P, Q, counted = np.empty((0, d)), np.empty((d, 0)), 0  # the basis spans P's rows
+
+    def residuals(rows) -> np.ndarray:
+        """r̃ for X[rows] and then q, off the picks so far."""
+        nonlocal P, Q, counted
+        P, counted = np.vstack([P, X[order[counted:]]]), len(order)
+        if len(P) > 2 * d:  # its R factor has the same PᵀP in d rows
+            P, Q = np.linalg.qr(P, mode="r"), np.empty((d, 0))
+        for x in P[Q.shape[1]:]:
+            Q = _extend_basis(Q, x, lam)
+        R = np.zeros((len(rows) + 1, len(Q)))
+        R[:-1, :d], R[-1, :d] = X[rows], qv
+        for _ in range(2):
+            R -= (R @ Q) @ Q.T
+        return R
+
     for step in range(n_select):
         if stop is not None and step and _should_stop(math.sqrt(sigma), step, stop):
             break
-        while True:
-            best, objective = pick(step, kq, diag)
-            kq_best, diag_best = kq.item(best), diag.item(best)
-            den = diag_best + lam
-            skip = den < _DEN_FLOOR * diag0.item(best)
-            if not (skip and (kq_best or diag_best)):
-                break
-            kq[best] = diag[best] = 0.0
+        if (chosen := pick(step, kq, diag)) is None:
+            break
+        best, objective = chosen
+        kq_best, diag_best = kq.item(best), diag.item(best)
+        exact = diag_best < _PICK_FLOOR * diag0.item(best)
+        if exact:
+            res = residuals([best])
+            kq_best, diag_best = float(res[1] @ res[0]), float(res[0] @ res[0])
+            sigma = float(res[1] @ res[1])
+        den = diag_best + lam
         order.append(best)
         objective_trace.append(objective)
         pivot_trace.append(den)
-        if skip:
-            sigma_trace.append(sigma)
-            continue
         root = math.sqrt(den)
-        w = _project(Z, best, A, W[:m]) / root
         a = slot.get(best)
         if len(cols):
             col = cols[m]
-        if a is not None and len(cols) and den >= build_floor:
+        if exact:
+            w = res[0, :d] / root  # A z_p/root when Z is X; otherwise its column
+            if Z is not X:
+                w = X @ w
+        else:
+            w = _project(Z, best, A, W[:m]) / root
+        if not exact and a is not None and len(cols) and den >= build_floor:
             coef = W[a:m] @ Z[best]
             coef[0] -= roots[a]
             coef /= -root
@@ -474,13 +503,13 @@ def _greedy_kernel(
         kq -= tmp
         np.multiply(col, col, out=tmp)
         diag -= tmp
-        bad = diag[diag.argmin()]  # argmin's fast path beats min's reduction on small K
-        if bad < 0.0:
-            if bad < -diag_tol:
-                raise NumericalFailure(
-                    f"conditional diagonal went negative beyond round-off: {float(bad)!r}"
-                )
-            np.maximum(diag, 0.0, out=diag)
+        if diag[diag.argmin()] < top_floor and np.less(diag, floor, out=fallen).any():
+            rows = np.flatnonzero(fallen)
+            res = residuals(rows)
+            diag[rows] = np.einsum("ij,ij->i", res[:-1], res[:-1])
+            kq[rows] = res[:-1] @ res[-1]
+            floor[rows] = _DOWNDATE_FLOOR * diag[rows]
+            top_floor = float(floor.max())
         W[m], roots[m], slot[best] = w, root, m
         m += 1
         if m == size and step + 1 < n_select:

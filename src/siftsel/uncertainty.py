@@ -8,7 +8,7 @@ convergence-bound right-hand side, confidence-width multipliers β_n for
 classification and regression surrogates, and the information-gain view
 of the selection objective with its relevance/redundancy split. The
 compute-proportional adaptive stopping rule lives in selectors, inside the
-greedy kernel that it stops.
+greedy kernel that it stops and that picks λ_min's basis rows.
 
 Natural logarithms throughout.
 """
@@ -28,16 +28,11 @@ from .core import (
     posterior_variance,
 )
 from .errors import DegenerateVariance, InvalidParameter, check_param
+from .selectors import _greedy_kernel
 
 # Relative singular-value cutoff separating true orthogonal components from
 # round-off when computing spans.
 _RANK_CUTOFF = 1e-10
-
-# data_space_lambda_min recomputes a downdated residual² once it has fallen
-# to this fraction of its last exact value: LAPACK dgeqp3's rule (Drmač &
-# Bujanović 2008, "On the failure of rank-revealing QR factorization
-# software"), below which the downdate's cancellation leaves no digits.
-_DOWNDATE_FLOOR = 2.0 ** -26
 
 # data_space_lambda_min pivots on the smallest index among the rows whose
 # residual² is within this many d·ε of the largest, relatively. One row's
@@ -230,60 +225,34 @@ def _row_space(data: np.ndarray) -> np.ndarray | None:
 def data_space_lambda_min(space: EmbeddingSet) -> float:
     """Smallest eigenvalue of ΦΦᵀ for a basis Φ extracted from the data rows.
 
-    The basis rows are chosen by column-pivoted Gram–Schmidt on the rows.
-    Each step takes the row with the largest residual², the smallest index
-    among those within _PIVOT_TIE·d·ε of it relatively, orthogonalizes it
-    against the basis so far twice, and downdates every residual² by one
-    GEMV of the rows with the new direction. A downdated residual² that
-    falls to _DOWNDATE_FLOOR of its last exact value, or below, is
-    recomputed exactly from its row. A row whose residual² is at or below
-    (1e-10·max‖x‖)² is dropped for good. The result is σ_min² of the
-    basis rows' coordinates in the basis directions, from an SVD of that
-    rank×rank matrix, not the eigenvalues of their Gram: the Gram squares
-    the condition number, and round-off then gave values at or below zero.
-    Every basis row keeps a residual above the cutoff, so the returned
-    value is strictly positive.
-
-    Cost: rank steps, each O(K·d) for the GEMV, plus O(K·d·rank) at most
-    for the exact recomputes and O(rank³) for the SVD.
+    The basis rows are the greedy kernel's picks at λ′ = 0, column-pivoted
+    Gram–Schmidt with its recompute rule: each step takes the largest
+    residual², the smallest index within _PIVOT_TIE·d·ε of it relatively,
+    until none exceeds (1e-10·max‖x‖)² or min(K, d) rows are picked. The
+    result, strictly positive, is σ_min² from one SVD of the basis rows:
+    their Gram squares the condition number, and its eigenvalues went to
+    zero or below. Cost: rank kernel steps and an O(d·rank²) SVD.
     """
     if space.rows == 0:
         raise InvalidParameter("space must be non-empty")
     X = space.data
     K, d = X.shape
-    res = np.einsum("ij,ij->i", X, X)
-    last = res.copy()  # each row's residual² when last computed exactly
-    tol = _RANK_CUTOFF ** 2 * float(res.max())
-    res[res <= tol] = -np.inf  # dropped rows, and picked ones
+    sq = np.einsum("ij,ij->i", X, X)
+    tol = _RANK_CUTOFF ** 2 * float(sq.max())
     near = 1.0 - _PIVOT_TIE * d * float(np.finfo(np.float64).eps)
-    Q = np.empty((min(K, d), d))
     piv: list[int] = []
-    while len(piv) < len(Q):
-        top = res[res.argmax()]
-        if top == -np.inf:
-            break
-        p = int(np.argmax(res >= top * near))
-        k = len(piv)
-        v = X[p].copy()
-        for _ in range(2):
-            v -= Q[:k].T @ (Q[:k] @ v)
-        Q[k] = v / np.linalg.norm(v)
-        piv.append(p)
-        res[p] = -np.inf
-        if k + 1 == len(Q):
-            break
-        c = X @ Q[k]
-        res -= c * c
-        stale = np.flatnonzero((res <= _DOWNDATE_FLOOR * last) & (res > -np.inf))
-        if stale.size:
-            rows = X[stale]
-            rows -= (rows @ Q[:k + 1].T) @ Q[:k + 1]
-            res[stale] = last[stale] = np.einsum("ij,ij->i", rows, rows)
-        res[res <= tol] = -np.inf
+
+    def pick(step, kq, diag):  # nothing reads the last row's update, so stop there
+        top = diag.max()
+        if not top > tol:
+            return None
+        piv.append(int(np.argmax(diag >= top * near)))
+        return (piv[-1], float(top)) if len(piv) < min(K, d) else None
+
+    _greedy_kernel(X, np.zeros(d), min(K, d), 0.0, pick, sq, None, "lambda_min", None)
     if not piv:
         raise InvalidParameter("data space has rank zero")
-    coords = X[piv] @ Q[:len(piv)].T
-    return float(np.linalg.svd(coords, compute_uv=False)[-1] ** 2)
+    return float(np.linalg.svd(X[piv], compute_uv=False)[-1] ** 2)
 
 
 def selected_gram_lambda_hat(selected) -> float:
